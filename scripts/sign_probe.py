@@ -10,6 +10,7 @@ question in either direction.
 
     python3 scripts/sign_probe.py --trials 2000
     python3 scripts/sign_probe.py --min-n 2 --max-n 8 --trials 500 --seeds 0 1 2
+    python3 scripts/sign_probe.py --min-n 32 --max-n 32 --trials 50
 """
 
 import argparse
@@ -21,7 +22,8 @@ from extremal import hilbert as hb
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--min-n", type=int, default=2)
-    ap.add_argument("--max-n", type=int, default=8)
+    ap.add_argument("--max-n", type=int, default=8,
+                    help="largest node count N to sweep (at most 32)")
     ap.add_argument("--trials", type=int, default=1000)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0])
     ap.add_argument("-o", "--output", default=None, help="dump all reports as JSON")

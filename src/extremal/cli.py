@@ -294,11 +294,11 @@ def cmd_verify(config):
     checks.append(_check("kernel_factorization", fact, 1e-12))
 
     ts = rng.uniform(-1.5, 1.5, size=20)
-    ghat_res = max(abs(g_hat(tv) - numeric_ft("g", tv)) for tv in ts)
+    ghat_res = np.max(np.abs(g_hat(ts) - numeric_ft("g", ts)))
     checks.append(_check("g_hat_vs_numeric", ghat_res, 1e-7))
 
     ts2 = rng.uniform(1e-3, 3.0, size=10)
-    psihat_res = max(abs(psi_hat(tv) - numeric_ft("psi", tv)) for tv in ts2)
+    psihat_res = np.max(np.abs(psi_hat(ts2) - numeric_ft("psi", ts2)))
     checks.append(_check("psi_hat_vs_numeric", psihat_res, 1e-6))
 
     tele_res = 0.0

@@ -323,6 +323,8 @@ def tail_transform(kind, X, t, side):
     gives the plain tail integral.  Returns ``(value, err_bound)`` with the
     bound covering series truncation and the E_n evaluation accuracy.
     Requires ``X >= 16`` so the inverse-power envelopes have converged.
+    An array ``t`` gives arrays of its shape for both; a scalar ``t`` gives
+    a Python ``complex`` and ``float``.
     """
     if kind not in TAIL_KINDS:
         raise ValueError(f"unknown tail kind {kind!r}")
@@ -330,84 +332,76 @@ def tail_transform(kind, X, t, side):
         raise ValueError("side must be 'right' or 'left'")
     if not X >= _TAIL_MIN_X:
         raise ValueError(f"tail cutoff must be >= {_TAIL_MIN_X}")
-    t = float(t)
-    X = float(X)
+    arr = np.asarray(t, dtype=float)
+    val, err = _tail(kind, float(X), arr.ravel(), side)
+    if arr.ndim == 0:
+        return complex(val[0]), float(err[0])
+    return val.reshape(arr.shape), err.reshape(arr.shape)
+
+
+def _tail(kind, X, t, side):
+    """tail_transform on a 1-d frequency array; returns two 1-d arrays."""
     pi2 = np.pi**2
 
+    def channel(right, left, div, sign=1.0, bernoulli=False):
+        if side == "right":
+            val = sign * cosine_tail(right, X, t) / div
+            err = _cosine_tail_err(right, X, bernoulli) / div
+        else:
+            val = cosine_tail(left, X, -t) / div
+            err = _cosine_tail_err(left, X, bernoulli) / div
+        return val, np.full(t.shape, err)
+
     if kind == "g":
-        if side == "right":
-            val = -cosine_tail(_RHO_RIGHT, X, t) / (2.0 * pi2)
-            err = _cosine_tail_err(_RHO_RIGHT, X) / (2.0 * pi2)
-        else:
-            val = cosine_tail(_RHO_LEFT, X, -t) / (2.0 * pi2)
-            err = _cosine_tail_err(_RHO_LEFT, X) / (2.0 * pi2)
-        return val, err
-
+        return channel(_RHO_RIGHT, _RHO_LEFT, 2.0 * pi2, sign=-1.0)
     if kind == "H":
-        if side == "right":
-            val = cosine_tail(_Q_RIGHT, X, t) / (2.0 * pi2)
-            err = _cosine_tail_err(_Q_RIGHT, X) / (2.0 * pi2)
-        else:
-            val = cosine_tail(_Q_LEFT, X, -t) / (2.0 * pi2)
-            err = _cosine_tail_err(_Q_LEFT, X) / (2.0 * pi2)
-        return val, err
-
+        return channel(_Q_RIGHT, _Q_LEFT, 2.0 * pi2)
     if kind == "psi_beurling":
-        if side == "right":
-            val = cosine_tail(_R_RIGHT, X, t) / pi2
-            err = _cosine_tail_err(_R_RIGHT, X, bernoulli=True) / pi2
-        else:
-            val = cosine_tail(_S_LEFT, X, -t) / pi2
-            err = _cosine_tail_err(_S_LEFT, X, bernoulli=True) / pi2
-        return val, err
-
-    # psi (and G_minus_heaviside = psi / 2).
+        return channel(_R_RIGHT, _S_LEFT, pi2, bernoulli=True)
     if kind == "G_minus_heaviside":
-        val, err = tail_transform("psi", X, t, side)
+        val, err = _tail("psi", X, t, side)
         return 0.5 * val, 0.5 * err
 
-    if abs(t) < 1e-12:
+    # psi.
+    val = np.empty(t.shape, dtype=complex)
+    err = np.empty(t.shape)
+    low = np.abs(t) < 1e-12
+    if np.any(low):
         # Fubini: integral_X^inf psi = 2 integral_X^inf (u - X)(-g)(u) du,
         # and u * rho(u) collapses to (u+-1)^{-2}; same at the left tail.
-        if side == "right":
-            val = (
-                cosine_tail(_Q_RIGHT, X, 0.0)
-                - X * cosine_tail(_RHO_RIGHT, X, 0.0)
-            ) / pi2
-            err = (
-                _cosine_tail_err(_Q_RIGHT, X)
-                + X * _cosine_tail_err(_RHO_RIGHT, X)
-            ) / pi2
-        else:
-            val = (
-                cosine_tail(_Q_LEFT, X, 0.0)
-                - X * cosine_tail(_RHO_LEFT, X, 0.0)
-            ) / pi2
-            err = (
-                _cosine_tail_err(_Q_LEFT, X)
-                + X * _cosine_tail_err(_RHO_LEFT, X)
-            ) / pi2
-        if t != 0.0:
+        q, rho = (_Q_RIGHT, _RHO_RIGHT) if side == "right" else (_Q_LEFT, _RHO_LEFT)
+        val[low] = (cosine_tail(q, X, 0.0) - X * cosine_tail(rho, X, 0.0)) / pi2
+        e = np.full(np.count_nonzero(low), (
+            _cosine_tail_err(q, X) + X * _cosine_tail_err(rho, X)
+        ) / pi2)
+        tl = np.abs(t[low])
+        moving = tl != 0.0
+        if np.any(moving):
             # phase-variation bound for the neglected e^{-2 pi i t x} factor
-            xstar = 1.0 / (2.0 * np.pi * abs(t))
-            err += (abs(t) / np.pi) * max(0.0, math.log(max(xstar / X, 1.0)))
-            err += 1.0 / (pi2 * max(X, xstar))
-        return complex(val), err
+            tm = tl[moving]
+            xstar = 1.0 / (2.0 * np.pi * tm)
+            e[moving] += (tm / np.pi) * np.maximum(
+                0.0, np.log(np.maximum(xstar / X, 1.0))
+            )
+            e[moving] += 1.0 / (pi2 * np.maximum(X, xstar))
+        err[low] = e
 
-    # Integration by parts (psi' = 2g away from 0):
-    #   integral_X^inf psi e^{-2 pi i t x} dx
-    #     = psi(X) e^{-2 pi i X t}/(2 pi i t) + (pi i t)^{-1} * g-tail.
-    denom = 2j * np.pi * t
-    if side == "right":
-        boundary = psi_closed(X) * np.exp(-denom * X) / denom
-        gval, gerr = tail_transform("g", X, t, "right")
-    else:
-        boundary = -psi_closed(-X) * np.exp(denom * X) / denom
-        gval, gerr = tail_transform("g", X, t, "left")
-    val = boundary + 2.0 * gval / denom
-    err = (1e-13 * psi_closed(X if side == "right" else -X) + 2.0 * gerr) / abs(
-        denom
-    )
+    high = ~low
+    if np.any(high):
+        # Integration by parts (psi' = 2g away from 0):
+        #   integral_X^inf psi e^{-2 pi i t x} dx
+        #     = psi(X) e^{-2 pi i X t}/(2 pi i t) + (pi i t)^{-1} * g-tail.
+        th = t[high]
+        denom = 2j * np.pi * th
+        gval, gerr = _tail("g", X, th, side)
+        if side == "right":
+            edge = psi_closed(X)
+            boundary = edge * np.exp(-denom * X) / denom
+        else:
+            edge = psi_closed(-X)
+            boundary = -edge * np.exp(denom * X) / denom
+        val[high] = boundary + 2.0 * gval / denom
+        err[high] = (1e-13 * edge + 2.0 * gerr) / np.abs(denom)
     return val, err
 
 

@@ -18,7 +18,6 @@ Kernel-specific envelope series live next to the kernels in
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -229,47 +228,68 @@ def expint_en(n, z):
 
     Hybrid evaluation: upward recurrence from E_1 = exp1 for |z| <= 10
     (stable there), a modified Lentz continued fraction beyond.  Accuracy
-    is ~1e-13 relative over the ranges used by the tail channels.
+    is ~1e-13 relative over the ranges used by the tail channels.  ``n``
+    and ``z`` may be arrays; they broadcast against each other and are
+    evaluated elementwise.  Scalar ``n`` and ``z`` give a Python ``complex``.
     """
-    if n < 1:
+    n_arr, z_arr = np.broadcast_arrays(np.asarray(n), np.asarray(z, dtype=complex))
+    if np.any(n_arr < 1):
         raise ValueError("expint_en requires n >= 1")
-    z = complex(z)
-    if z == 0.0:
-        if n == 1:
+    orders = n_arr.ravel()
+    flat = z_arr.ravel()
+    out = np.empty(flat.shape, dtype=complex)
+    zero = flat == 0.0
+    if np.any(zero):
+        if np.any(orders[zero] == 1):
             raise ValueError("E_1(0) diverges")
-        return complex(1.0 / (n - 1))
-    if z.real < -1e-300:
+        out[zero] = 1.0 / (orders[zero] - 1)
+    if np.any(flat.real < -1e-300):
         raise ValueError("expint_en requires Re z >= 0")
 
-    if abs(z) <= 10.0:
-        e = complex(exp1(z))
-        ez = cmath.exp(-z)
-        for k in range(1, n):
-            e = (ez - z * e) / k
-        return e
+    near = ~zero & (np.abs(flat) <= 10.0)
+    if np.any(near):
+        zn, nn = flat[near], orders[near]
+        e = exp1(zn)
+        ez = np.exp(-zn)
+        for k in range(1, int(nn.max())):
+            e = np.where(k < nn, (ez - zn * e) / k, e)
+        out[near] = e
+    far = ~zero & ~near
+    if np.any(far):
+        out[far] = _expint_lentz(orders[far], flat[far])
+    return complex(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
-    # Modified Lentz on the even continued fraction
-    # E_n(z) = exp(-z) / (z+n - 1*n/(z+n+2 - 2(n+1)/(z+n+4 - ...))).
+
+def _expint_lentz(n, z):
+    """Modified Lentz on the even continued fraction
+    E_n(z) = exp(-z) / (z+n - 1*n/(z+n+2 - 2(n+1)/(z+n+4 - ...))),
+    each entry stopping at its own convergence step."""
     tiny = 1e-300
+    h_out = np.empty(z.shape, dtype=complex)
+    idx = np.arange(z.size)
     b = z + n
-    c = 1.0 / tiny
+    c = np.full(z.shape, 1.0 / tiny, dtype=complex)
     d = 1.0 / b
     h = d
     for i in range(1, 401):
         a = -i * (n - 1 + i)
-        b += 2.0
+        b = b + 2.0
         d = a * d + b
-        if d == 0:
-            d = tiny
+        d[d == 0] = tiny
         c = b + a / c
-        if c == 0:
-            c = tiny
+        c[c == 0] = tiny
         d = 1.0 / d
         delta = c * d
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * cmath.exp(-z)
+        h = h * delta
+        done = np.abs(delta - 1.0) < 1e-16
+        if np.any(done):
+            h_out[idx[done]] = h[done]
+            keep = ~done
+            idx, n, b, c, d, h = idx[keep], n[keep], b[keep], c[keep], d[keep], h[keep]
+            if idx.size == 0:
+                break
+    h_out[idx] = h
+    return h_out * np.exp(-z)
 
 
 def tail_channel(coeffs, T, tau):
@@ -278,28 +298,37 @@ def tail_channel(coeffs, T, tau):
     Exact term-by-term reduction to E_n:  each power x^{-(j+2)} contributes
     c_j T^{-(j+1)} E_{j+2}(2 pi i tau T).  ``coeffs`` is the envelope series
     in the x^{-(j+2)} basis, ``T > 0`` the cutoff, ``tau`` the frequency
-    (``tau = 0`` gives the plain tail integral).
+    (``tau = 0`` gives the plain tail integral); an array ``tau`` gives an
+    array of the same shape.  All orders are evaluated in one ``expint_en``
+    call.
     """
     if T <= 0.0:
         raise ValueError("tail_channel requires T > 0")
+    tau = np.asarray(tau, dtype=float)
     z = 2j * math.pi * tau * T
-    total = 0.0 + 0.0j
+    terms = []
     Tp = 1.0 / T
     for j, c in enumerate(coeffs):
         if c != 0.0:
-            total += c * Tp * expint_en(j + 2, z)
+            terms.append((j + 2, c * Tp))
         Tp /= T
-    return total
+    total = np.zeros(tau.shape, dtype=complex)
+    if terms:
+        orders = np.array([order for order, _ in terms]).reshape((-1,) + (1,) * tau.ndim)
+        for (_, weight), e in zip(terms, expint_en(orders, z)):
+            total = total + weight * e
+    return complex(total) if tau.ndim == 0 else total
 
 
 def cosine_tail(coeffs, T, t):
     """integral_T^inf (1 - cos 2 pi x) * envelope(x) * exp(-2 pi i t x) dx.
 
     Expands the cosine into half-weight channels at frequencies t -+ 1:
-    J(t) - (J(t-1) + J(t+1)) / 2 over the same inverse-power envelope.
+    J(t) - (J(t-1) + J(t+1)) / 2 over the same inverse-power envelope,
+    all three channels in one ``tail_channel`` call.  An array ``t`` gives
+    an array of the same shape.
     """
-    return (
-        tail_channel(coeffs, T, t)
-        - 0.5 * tail_channel(coeffs, T, t - 1.0)
-        - 0.5 * tail_channel(coeffs, T, t + 1.0)
-    )
+    t = np.asarray(t, dtype=float)
+    j = tail_channel(coeffs, T, np.stack([t, t - 1.0, t + 1.0]))
+    out = j[0] - 0.5 * j[1] - 0.5 * j[2]
+    return complex(out) if t.ndim == 0 else out

@@ -212,7 +212,7 @@ class TestSearch:
         assert code == 2
 
     def test_remark_node_bound_exit_2(self, capsys):
-        code, _, _ = run(capsys, "search", "--mode", "remark", "--n", "9",
+        code, _, _ = run(capsys, "search", "--mode", "remark", "--n", "33",
                          "--trials", "2", "--seed", "0")
         assert code == 2
 

@@ -173,6 +173,44 @@ class TestNumericFT:
             assert abs(full_transform("H", t) - expected) < 1e-11
 
 
+# Frequencies for the array path: the origin, the band edge, tiny |t| (the
+# psi tail switches branch at 1e-12), both sides of the |omega| = 8 switch
+# of the Filon moments (|t| = 32 / pi ~ 10.19) and |t| up to 300.
+ARRAY_TS = np.array([
+    0.0, 1.0, -1.0, 1e-7, -1e-7, 0.37, -2.5,
+    10.18, 10.19, 10.2, -10.18, -10.2, 57.3, 300.0, -300.0,
+])
+
+
+class TestNumericFTArray:
+    @pytest.mark.parametrize("kind", ["g", "psi", "psi_beurling"])
+    def test_matches_elementwise_scalar(self, kind):
+        got = numeric_ft(kind, ARRAY_TS)
+        for t, value in zip(ARRAY_TS, got):
+            ref = numeric_ft(kind, float(t))
+            assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    def test_moment_switch_is_on_the_grid(self):
+        omega = 2.0 * math.pi * np.abs(ARRAY_TS) * 0.125
+        assert np.any((omega > 7.99) & (omega <= 8.0))
+        assert np.any((omega > 8.0) & (omega < 8.01))
+
+    def test_shape_preserved(self):
+        t = ARRAY_TS[:12].reshape(3, 4)
+        got = numeric_ft("psi_beurling", t)
+        assert got.shape == (3, 4) and got.dtype == complex
+        assert np.array_equal(got.ravel(), numeric_ft("psi_beurling", t.ravel()))
+
+    def test_scalar_returns_python_complex(self):
+        assert type(numeric_ft("g", 0.3)) is complex
+        assert type(numeric_ft("g", np.float64(0.3))) is complex
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_entry_rejected(self, bad):
+        with pytest.raises(ValueError):
+            numeric_ft("psi", np.array([0.5, bad, 2.0]))
+
+
 class TestBandLimitCheck:
     def test_psi_residual_small(self):
         worst = band_limit_check("psi", [1.25, 2.0, 3.5, 5.0, 10.0, -1.25, -2.0])

@@ -28,6 +28,7 @@ from extremal import (
     verify_inequality,
     weighted_norm,
 )
+from extremal.fourier import numeric_ft, psi_hat
 
 # numpy.linalg.eigvalsh on the dense squared matrix (independent of the
 # power-iteration implementation under test).
@@ -68,6 +69,34 @@ def random_instance(rng, n, min_gap=0.05):
         lam = np.sort(rng.uniform(0.0, 10.0, n))
     a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return lam, a
+
+
+def telescoping_step_loop(nodes, a, majorant):
+    """The telescoping sum step by step, as in the proof: in delta-sorted
+    order, step j adds a_m conj(a_n) [F_{delta_j} - F_{delta_{j-1}}] over the
+    pairs with both indices >= j (F_{delta_0} = 0), one n x n transform per
+    step."""
+
+    def rescaled(delta, freq):
+        if majorant == "M":
+            return psi_hat(freq / delta) / delta
+        return numeric_ft("psi_beurling", freq / delta, tol=1e-6) / delta
+
+    order = nodes.order
+    lam = nodes.lambdas[order]
+    dd = nodes.deltas[order]
+    aa = np.asarray(a, dtype=complex)[order]
+    n = lam.size
+    diff = lam[:, None] - lam[None, :]
+    pair = np.outer(aa, aa.conj())
+    total = 0.0 + 0.0j
+    prev = np.zeros((n, n), dtype=complex)
+    for j in range(n):
+        cur = rescaled(dd[j], diff)
+        block = slice(j, n)
+        total += np.sum(pair[block, block] * (cur[block, block] - prev[block, block]))
+        prev = cur
+    return total
 
 
 class TestComputeDeltas:
@@ -321,13 +350,44 @@ class TestTelescoping:
 
     def test_beurling_closed_value(self):
         # The interpolating majorant telescopes to the same form with the
-        # deficit integral 1 instead of 2.
+        # deficit integral 1 instead of 2: every off-diagonal frequency has
+        # |lambda_m - lambda_n| >= max(delta_m, delta_n), where the band
+        # identity pins the transform to -1/(pi i t).
         ns = compute_deltas([0.0, 1.3, 2.1])
         a = np.array([0.7, -0.4 + 0.9j, 0.2 - 0.3j])
         got = telescoping_sum(ns, a, majorant="BeurlingB")
         phi = bilinear_form(ns, a)
         expected = float((-phi / (1j * math.pi)).real) + weighted_norm(ns, a)
         assert got == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("n", [2, 5, 9, 16, 24, 32])
+    def test_beurling_closed_value_seeded(self, n):
+        rng = np.random.default_rng(100 + n)
+        lam, a = random_instance(rng, n)
+        ns = compute_deltas(lam)
+        got = telescoping_sum(ns, a, majorant="BeurlingB")
+        phi = bilinear_form(ns, a)
+        expected = weighted_norm(ns, a) + float((-phi / (1j * math.pi)).real)
+        assert got == pytest.approx(expected, abs=1e-8)
+
+    @pytest.mark.parametrize("majorant", ["M", "BeurlingB"])
+    def test_collapsed_kernel_matches_step_loop(self, majorant):
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            n = int(rng.integers(2, 9))
+            lam, a = random_instance(rng, n)
+            ns = compute_deltas(lam)
+            got = hb._telescoping_complex(ns, a, majorant)
+            ref = telescoping_step_loop(ns, a, majorant)
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_step_loop_reference_agrees_with_identity(self):
+        # Anchor the loop reference itself to the closed form for M.
+        rng = np.random.default_rng(12)
+        lam, a = random_instance(rng, 6)
+        ns = compute_deltas(lam)
+        ref = telescoping_step_loop(ns, a, "M")
+        assert ref.real == pytest.approx(telescoping_identity(ns, a), abs=1e-10)
 
     def test_majorant_validation(self):
         ns = compute_deltas([0.0, 1.0])
@@ -375,7 +435,7 @@ class TestRemarkExperiment:
         assert "min_value" in rep and "negative_count" in rep
         assert not any("assert" in str(k) for k in rep)
 
-    @pytest.mark.parametrize("bad_n", [1, 9, 0])
+    @pytest.mark.parametrize("bad_n", [1, 33, 0])
     def test_node_bounds(self, bad_n):
         with pytest.raises(ValueError):
             remark_experiment(bad_n, trials=2, seed=0)

@@ -131,6 +131,39 @@ class TestExpintEn:
         rhs = np.exp(-z) - z * expint_en(n, z)
         assert abs(lhs - rhs) <= 1e-11 * max(abs(np.exp(-z)), abs(z * expint_en(n, z)), 1e-30)
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 11])
+    def test_array_matches_mpmath_across_branch_switch(self, n):
+        # Rays through the |z| = 10 switch between the exp1 recurrence and
+        # the continued fraction, on the axes and the diagonal.
+        mpmath = pytest.importorskip("mpmath")
+        radii = np.array([0.5, 3.0, 9.5, 9.99, 10.0, 10.01, 10.5, 12.0, 30.0, 200.0])
+        z = np.concatenate([
+            radii + 0j, 1j * radii, -1j * radii, radii * np.exp(0.25j * np.pi),
+        ]).reshape(4, -1)
+        got = expint_en(n, z)
+        assert got.shape == z.shape
+        with mpmath.workdps(30):
+            ref = np.array([
+                complex(mpmath.expint(n, mpmath.mpc(v.real, v.imag))) for v in z.ravel()
+            ]).reshape(z.shape)
+        # The upward recurrence loses ~1e-12 at n = 11 just below |z| = 10.
+        assert np.all(np.abs(got - ref) <= 5e-12 * np.abs(ref))
+        assert all(got.flat[i] == expint_en(n, v) for i, v in enumerate(z.flat))
+
+    def test_orders_broadcast_against_z(self):
+        orders = np.array([[1], [2], [7], [13]])
+        z = np.array([0.3j, 4.0 + 1.0j, 9.99j, 10.01j, 350.0j])
+        got = expint_en(orders, z)
+        assert got.shape == (4, 5)
+        for i, n in enumerate(orders.ravel()):
+            assert np.array_equal(got[i], expint_en(int(n), z))
+
+    def test_array_with_zero_entries(self):
+        got = expint_en(3, np.array([0.0, 2.0j]))
+        assert got[0] == 0.5 and got[1] == expint_en(3, 2.0j)
+        with pytest.raises(ValueError):
+            expint_en(1, np.array([1.0, 0.0]))
+
 
 class TestTailChannel:
     def test_single_power_against_quadrature(self):
