@@ -206,6 +206,12 @@ class TestSearch:
         assert rep["experiment"] == "constant"
         assert rep["best_constant"] <= hb.BOUND_PREISSMANN + 1e-6
 
+    def test_constant_mode_at_node_cap(self, capsys):
+        code, out, _ = run(capsys, "search", "--mode", "constant", "--n", "2048",
+                           "--trials", "1", "--seed", "0")
+        assert code == 0
+        assert len(json.loads(out)["best_lambdas"]) == 2048
+
     def test_invalid_mode_exit_2(self, capsys):
         code, _, _ = run(capsys, "search", "--mode", "magic", "--n", "3",
                          "--trials", "2", "--seed", "0")

@@ -2,9 +2,13 @@
 constant, telescoping sums, and the randomized experiments."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +35,7 @@ from extremal import (
 from extremal.fourier import numeric_ft, psi_hat
 
 # numpy.linalg.eigvalsh on the dense squared matrix (independent of the
-# power-iteration implementation under test).
+# Lanczos implementation under test).
 LADDER_EIG = {
     2: 1.0,
     3: 1.5,
@@ -43,13 +47,19 @@ LADDER_EIG = {
 }
 
 
-def brute_constant(lambdas):
-    ns = compute_deltas(lambdas)
+def coupling_matrix(ns):
+    """Dense A_{mn} = sqrt(delta_m delta_n) / (lambda_m - lambda_n), zero
+    diagonal; C* is the top eigenvalue of the Hermitian iA."""
     lam, root = ns.lambdas, np.sqrt(ns.deltas)
     diff = lam[:, None] - lam[None, :]
     np.fill_diagonal(diff, 1.0)
     A = np.outer(root, root) / diff
     np.fill_diagonal(A, 0.0)
+    return A
+
+
+def brute_constant(lambdas):
+    A = coupling_matrix(compute_deltas(lambdas))
     top = np.linalg.eigvalsh(-(A @ A))[-1]
     return math.sqrt(max(top, 0.0))
 
@@ -212,6 +222,19 @@ class TestWeightedNormAndMargin:
             verify_inequality(ns, [1.0, 1.0], bad)
 
 
+@pytest.fixture(
+    scope="module",
+    params=[(64, 0.0), (256, 0.0), (1024, 0.0), (2048, 0.0), (384, 0.3)],
+    ids=["equal64", "equal256", "equal1024", "equal2048", "jittered384"],
+)
+def dense_oracle(request):
+    """A node system and its C* from the dense Hermitian eigensolver."""
+    n, jitter = request.param
+    lam = np.arange(float(n)) + np.random.default_rng(n).uniform(-jitter, jitter, n)
+    ns = compute_deltas(lam)
+    return ns, scipy.linalg.eigvalsh(1j * coupling_matrix(ns))[-1]
+
+
 class TestSharpConstant:
     def test_two_nodes_always_one(self):
         for lam in ([0.0, 0.3], [1.0, 2.0], [-5.0, 17.0]):
@@ -296,6 +319,56 @@ class TestSharpConstant:
         a = sharp_constant(ns)
         b = sharp_constant(ns)
         assert a.constant == b.constant and a.iterations == b.iterations
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-9])
+    def test_residual_bounds_dense_error(self, dense_oracle, tol):
+        ns, top = dense_oracle
+        est = sharp_constant(ns, tol=tol)
+        assert abs(est.constant - top) <= est.residual <= tol
+
+    @pytest.mark.parametrize("seed", [7, 17, 58])
+    def test_small_system_certified(self, seed):
+        # The top eigenvalue of -A^2 is double; a solve for one copy of it left
+        # vector residuals near 1e-9 on these N = 24 systems.
+        lam, _ = random_instance(np.random.default_rng(seed), 24)
+        ns = compute_deltas(lam)
+        est = sharp_constant(ns, tol=1e-12)
+        top = scipy.linalg.eigvalsh(1j * coupling_matrix(ns))[-1]
+        assert abs(est.constant - top) <= est.residual <= 1e-12
+
+    def test_witness_reproducible(self):
+        # At N = 2, -A^2 is a multiple of I: the Lanczos process breaks down at
+        # once and ARPACK draws a fresh vector, which must come from ``seed``.
+        ns = compute_deltas([1.0, 2.0])
+        first = sharp_constant(ns).witness
+        for _ in range(8):
+            assert np.array_equal(sharp_constant(ns).witness, first)
+
+    def test_uncertified_value_raises(self):
+        # At N = 2048 the floating-point floor n * eps * C* alone is 1.4e-12.
+        ns = compute_deltas(np.arange(1.0, 2049.0))
+        with pytest.raises(PowerIterationError, match="exceeds tol") as info:
+            sharp_constant(ns, tol=1e-12)
+        assert info.value.estimate == pytest.approx(3.1359446950367706, abs=1e-11)
+
+    def test_row_block_operator(self, monkeypatch):
+        # Above the cache limit A is rebuilt in row blocks (here 128, 128, 44).
+        lam = np.arange(300.0) + np.random.default_rng(31).uniform(-0.3, 0.3, 300)
+        ns = compute_deltas(lam)
+        dense = sharp_constant(ns, tol=1e-10)
+        monkeypatch.setattr(hb, "_CACHE_LIMIT", 100)
+        blocked = sharp_constant(ns, tol=1e-10)
+        assert blocked.constant == pytest.approx(brute_constant(lam), abs=blocked.residual)
+        assert blocked.constant == pytest.approx(dense.constant, abs=1e-12)
+
+    def test_import_leaves_sparse_linalg_unloaded(self):
+        # The solver imports scipy.sparse.linalg on first use, which keeps it
+        # out of the start-up cost of every other command.
+        src = os.path.dirname(os.path.dirname(hb.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys, extremal; sys.exit('scipy.sparse.linalg' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestBounds:
@@ -465,6 +538,22 @@ class TestConstantSearch:
         rep = constant_search(6, 12, 11)
         redo = sharp_constant(compute_deltas(rep["best_lambdas"]), tol=1e-10)
         assert redo.constant == pytest.approx(rep["best_constant"], abs=1e-8)
+
+    def test_node_sampler_at_size_cap(self):
+        # 2048 nodes on [0, 10] with gap 1e-4: rejection sampling never succeeds.
+        lam = hb._random_nodes(np.random.default_rng(0), 2048, min_gap=1e-4)
+        assert lam.shape == (2048,)
+        assert 0.0 <= lam[0] and lam[-1] <= 10.0
+        assert np.min(np.diff(lam)) >= 1e-4 - 1e-12
+
+    def test_node_sampler_distribution(self):
+        # Conditioned on gaps >= g, x_i - (i-1) g are uniform order statistics
+        # on [0, L - (n-1) g]: E[x_i] = i (L - (n-1) g) / (n+1) + (i-1) g.
+        rng = np.random.default_rng(37)
+        draws = np.array([hb._random_nodes(rng, 3, min_gap=2.0) for _ in range(20_000)])
+        assert np.min(np.diff(draws, axis=1)) >= 2.0 - 1e-12
+        expected = np.arange(1, 4) * 6.0 / 4.0 + 2.0 * np.arange(3)
+        assert np.max(np.abs(draws.mean(axis=0) - expected)) < 0.05
 
     def test_node_bounds(self):
         with pytest.raises(ValueError):
