@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from .majorants import (
 from .quadrature import BudgetExceededError, ToleranceNotMetError
 
 _EVAL_TOL_RANGE = (1e-12, 1e-4)
+_CSV_BLOCK = 4096  # rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -157,12 +159,19 @@ def build_parser():
     return parser
 
 
-def _emit(text, path):
+@contextlib.contextmanager
+def _output(path):
+    """The report stream: stdout, or the file at ``path``."""
     if path is None:
-        sys.stdout.write(text)
+        yield sys.stdout
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
+
+
+def _emit(text, path):
+    with _output(path) as fh:
+        fh.write(text)
 
 
 def _emit_json(report, path):
@@ -204,10 +213,14 @@ def cmd_eval(config):
     achieved = 5e-14  # closed-form evaluation; see the majorant test suite
 
     if config.output_format == "csv":
-        lines = ["x,G,M,B,psi,phi"]
-        for row in zip(x, G, M, B, psi, phi):
-            lines.append(",".join(repr(float(v)) for v in row))
-        _emit("\n".join(lines) + "\n", config.output_path)
+        # Formatted and written in row blocks: the whole table's text is
+        # never held at once.
+        columns = (x, G, M, B, psi, phi)
+        with _output(config.output_path) as fh:
+            fh.write("x,G,M,B,psi,phi\n")
+            for start in range(0, n, _CSV_BLOCK):
+                rows = zip(*(c[start:start + _CSV_BLOCK].tolist() for c in columns))
+                fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
     else:
         report = {
             "command": "eval",

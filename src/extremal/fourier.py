@@ -6,9 +6,10 @@ Closed forms: ``g_hat`` (piecewise elementary, supported on [-1, 1]),
 ``psi_hat`` = (g_hat - 1)/(pi i t) with a Taylor branch near 0, and the
 scaling law ``psi_hat_scaled``.  The numerical route ``numeric_ft`` is a
 Filon scheme: interpolate the (non-oscillatory) kernel by Chebyshev
-polynomials on fixed panels of width 1/4 over [-512, 512], integrate each
-polynomial against exp(-2 pi i x t) exactly via monomial moments, and add
-the closed-form channel tails from :mod:`extremal.majorants`.  The kernel
+polynomials on fixed panels of width 1/4 over [-T, T] with
+T = :data:`extremal.majorants.TAIL_CUTOFF` = 64, integrate each polynomial
+against exp(-2 pi i x t) exactly via monomial moments, and add the
+closed-form channel tails from :mod:`extremal.majorants` beyond T.  The kernel
 interpolation is built once per kind; ``numeric_ft`` takes an array of
 frequencies and evaluates them together, in fixed-size blocks, so the
 cost is one matrix product per block rather than one Python call per
@@ -23,6 +24,7 @@ import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .majorants import (
+    TAIL_CUTOFF,
     kernel_g,
     psi_beurling_closed,
     psi_closed,
@@ -113,7 +115,6 @@ def psi_hat_scaled(delta, t):
 # ---------------------------------------------------------------------------
 # Filon engine.
 
-_FT_CUTOFF = 512.0
 _FT_PANEL = 0.25
 _FT_DEGREE = 10  # Chebyshev interpolation degree per panel
 
@@ -147,7 +148,7 @@ def _chebyshev_setup():
 
 _CHEB_NODES, _CHEB_V, _CHEB_C2P = _chebyshev_setup()
 
-_EDGES = np.arange(-_FT_CUTOFF, _FT_CUTOFF + 0.5 * _FT_PANEL, _FT_PANEL)
+_EDGES = np.arange(-TAIL_CUTOFF, TAIL_CUTOFF + 0.5 * _FT_PANEL, _FT_PANEL)
 _CENTERS = 0.5 * (_EDGES[:-1] + _EDGES[1:])
 
 # Panel phases factor through groups of _FT_GROUP neighbours: with group
@@ -266,13 +267,14 @@ def _filon_central(kind, t):
 def numeric_ft(function_kind, t, tol=1e-7):
     """Oscillatory-quadrature Fourier transform of g, psi or psi_beurling.
 
-    Filon panels on [-512, 512] plus closed-form channel tails.  ``t`` may
+    Filon panels on [-64, 64] plus closed-form channel tails.  ``t`` may
     be a scalar (returns a Python ``complex``) or an array of frequencies
     (returns a complex array of the same shape); every entry must be
     finite.  Raises :class:`extremal.quadrature.BudgetExceededError` if the
-    fixed scheme cannot certify ``tol`` at some frequency (the scheme's
-    estimate is ~1e-10, so this only triggers for adversarial tolerances
-    below the 1e-8 floor).
+    fixed scheme cannot certify ``tol`` at some frequency.  The scheme's
+    estimate is ~1e-10, except for psi near t = 0, where the tail bound
+    peaks at ~5e-8 around |t| = 6e-9: ``tol=1e-8`` is refused for psi at
+    1e-9 <= |t| <= 3e-8.
     """
     if function_kind not in _PUBLIC_FT_KINDS:
         raise ValueError(
@@ -287,8 +289,8 @@ def numeric_ft(function_kind, t, tol=1e-7):
         raise ValueError("tol must be >= 1e-8")
 
     central, est, n_evals = _filon_central(function_kind, arr)
-    right, err_r = tail_transform(function_kind, _FT_CUTOFF, arr, "right")
-    left, err_l = tail_transform(function_kind, _FT_CUTOFF, arr, "left")
+    right, err_r = tail_transform(function_kind, TAIL_CUTOFF, arr, "right")
+    left, err_l = tail_transform(function_kind, TAIL_CUTOFF, arr, "left")
     value = central + right + left
     est_total = float(np.max(est + err_r + err_l + 1e-15 * np.abs(value), initial=0.0))
     if est_total > tol:

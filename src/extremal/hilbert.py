@@ -208,10 +208,13 @@ def verify_inequality(nodes, a, C):
 def _antisym_apply(nodes):
     """Return v -> A v with A_{nm} = sqrt(delta_n delta_m)/(lambda_m - lambda_n)
     and zero diagonal.  A is held densely up to ``_CACHE_LIMIT`` nodes; above
-    that its row blocks are rebuilt on every application."""
+    that its row blocks are rebuilt on every application.  Either way rows
+    are built ``_CHUNK`` at a time, so the dense build peaks near the size
+    of A itself."""
     lam = nodes.lambdas
     root = np.sqrt(nodes.deltas)
     n = lam.size
+    spans = [(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
 
     def build_rows(start, stop):
         block = lam[None, :] - lam[start:stop, None]
@@ -222,13 +225,14 @@ def _antisym_apply(nodes):
         return rows
 
     if n <= _CACHE_LIMIT:
-        A = build_rows(0, n)
+        A = np.empty((n, n))
+        for start, stop in spans:
+            A[start:stop] = build_rows(start, stop)
         return lambda v: A @ v
 
     def apply_A(v):
         out = np.empty_like(v)
-        for start in range(0, n, _CHUNK):
-            stop = min(start + _CHUNK, n)
+        for start, stop in spans:
             out[start:stop] = build_rows(start, stop) @ v
         return out
 

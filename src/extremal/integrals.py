@@ -1,9 +1,11 @@
 """Full-line integrals of the kernels and Poisson-summation checks.
 
-``integrate_with_tails`` combines the adaptive panel scheme on a finite
-window [-T, T] with the closed-form channel tails of
-:mod:`extremal.majorants`; T defaults to 1e4 and grows like tol^{-1/2}
-following the 1/x^2 decay of the deficit-type integrands.
+``integrate_with_tails`` combines the adaptive panel scheme on the finite
+window [-T, T], T = :data:`extremal.majorants.TAIL_CUTOFF` = 64, with the
+closed-form channel tails of :mod:`extremal.majorants`.  The tails are
+exact to far below any admissible tolerance at that T, so T does not
+depend on ``tol``; the cost follows ``tol`` through the adaptive
+refinement, which starts from panels of width 4.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 import numpy as np
 
 from .majorants import (
+    TAIL_CUTOFF,
     eval_kernel,
     g_minus_heaviside_closed,
     kernel_H,
@@ -31,15 +34,10 @@ _INTEGRANDS = {
     "G_minus_heaviside": g_minus_heaviside_closed,
 }
 
-_BASE_CUTOFF = 1.0e4
-_BASE_TOL = 1.0e-8
-
-
-def _cutoff_for(tol):
-    # T ~ tol^{-1/2}: the psi-type tails carry mass ~ 1/(pi^2 T)
-    if tol >= _BASE_TOL:
-        return _BASE_CUTOFF
-    return _BASE_CUTOFF * math.sqrt(_BASE_TOL / tol)
+# Starting panel width of the adaptive scheme.  At the default 0.5 the
+# initial mesh of [-64, 64] already meets every admissible tol, so the cost
+# would not follow tol; width 4 lets the refinement do that.
+_PANEL_WIDTH = 4.0
 
 
 def integrate_with_tails(kernel_kind, tol=1e-8, max_evals=10_000_000):
@@ -52,9 +50,12 @@ def integrate_with_tails(kernel_kind, tol=1e-8, max_evals=10_000_000):
     tol = float(tol)
     if tol < 1e-10:
         raise ValueError("tol must be >= 1e-10")
-    T = _cutoff_for(tol)
+    T = TAIL_CUTOFF
     f = _INTEGRANDS[kernel_kind]
-    central = integrate_adaptive(f, -T, T, tol=0.5 * tol, max_evals=max_evals)
+    central = integrate_adaptive(
+        f, -T, T, tol=0.5 * tol, max_evals=max_evals,
+        initial_panel_width=_PANEL_WIDTH,
+    )
     right, err_r = tail_transform(kernel_kind, T, 0.0, "right")
     left, err_l = tail_transform(kernel_kind, T, 0.0, "left")
     value = central.value + right.real + left.real
@@ -94,17 +95,21 @@ def half_line_moments(tol=1e-8):
     tol = float(tol)
     if tol < 1e-10:
         raise ValueError("tol must be >= 1e-10")
-    T = _cutoff_for(tol)
-    quarter = 0.25 * tol
+    T = TAIL_CUTOFF
 
-    lhs_left = integrate_adaptive(g_minus_heaviside_closed, -T, 0.0, quarter)
+    def half(f, a, b):
+        return integrate_adaptive(
+            f, a, b, 0.25 * tol, initial_panel_width=_PANEL_WIDTH
+        )
+
+    lhs_left = half(g_minus_heaviside_closed, -T, 0.0)
     tail_ll, err_ll = tail_transform("G_minus_heaviside", T, 0.0, "left")
-    rhs_left = integrate_adaptive(kernel_H, -T, 0.0, quarter)
+    rhs_left = half(kernel_H, -T, 0.0)
     tail_rl, err_rl = tail_transform("H", T, 0.0, "left")
 
-    lhs_right = integrate_adaptive(g_minus_heaviside_closed, 0.0, T, quarter)
+    lhs_right = half(g_minus_heaviside_closed, 0.0, T)
     tail_lr, err_lr = tail_transform("G_minus_heaviside", T, 0.0, "right")
-    rhs_right = integrate_adaptive(kernel_H, 0.0, T, quarter)
+    rhs_right = half(kernel_H, 0.0, T)
     tail_rr, err_rr = tail_transform("H", T, 0.0, "right")
 
     return {

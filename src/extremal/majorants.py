@@ -54,6 +54,7 @@ __all__ = [
     "eval_deficit",
     "tail_transform",
     "TAIL_KINDS",
+    "TAIL_CUTOFF",
     "ToleranceNotMetError",
 ]
 
@@ -61,9 +62,6 @@ _EULER_GAMMA = 0.5772156649015329
 
 _TOL_MIN = 1e-12
 _TOL_MAX = 1e-4
-
-# Cutoff for the quadrature route of G; tails beyond are closed-form channels.
-_G_CUTOFF = 64.0
 
 
 def _as_array(x):
@@ -294,7 +292,17 @@ _S_LEFT = (0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0,
 
 TAIL_KINDS = ("g", "H", "psi", "G_minus_heaviside", "psi_beurling")
 
-_TAIL_MIN_X = 16.0
+# The one window [-X, X] of every quadrature, Filon sum and tail split.
+# Beyond it the closed-form tails are exact up to series truncation:
+# 45 * 64^-15 = 3.6e-26 for the polynomial envelopes and
+# 0.26 * 64^-12 = 5.5e-23 for the Bernoulli series of B, both far below
+# the 2e-13-relative E_n accuracy and the 1e-10 tolerance floor, so a wider
+# window only adds integrand evaluations.
+TAIL_CUTOFF = 64.0
+
+# Absolute rounding error of psi_closed(+-X) for X >= TAIL_CUTOFF; measured
+# against mpmath: at most 2.1e-16 at X = +-64 and +-512.
+_PSI_EDGE_ERR = 1e-15
 
 
 def _poly_trunc(X):
@@ -322,7 +330,8 @@ def tail_transform(kind, X, t, side):
     ``side`` is "right" for [X, inf) or "left" for (-inf, -X]; ``t = 0``
     gives the plain tail integral.  Returns ``(value, err_bound)`` with the
     bound covering series truncation and the E_n evaluation accuracy.
-    Requires ``X >= 16`` so the inverse-power envelopes have converged.
+    Requires ``X >= TAIL_CUTOFF`` so the inverse-power envelopes have
+    converged to the quoted truncation bound.
     An array ``t`` gives arrays of its shape for both; a scalar ``t`` gives
     a Python ``complex`` and ``float``.
     """
@@ -330,8 +339,8 @@ def tail_transform(kind, X, t, side):
         raise ValueError(f"unknown tail kind {kind!r}")
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    if not X >= _TAIL_MIN_X:
-        raise ValueError(f"tail cutoff must be >= {_TAIL_MIN_X}")
+    if not X >= TAIL_CUTOFF:
+        raise ValueError(f"tail cutoff must be >= {TAIL_CUTOFF}")
     arr = np.asarray(t, dtype=float)
     val, err = _tail(kind, float(X), arr.ravel(), side)
     if arr.ndim == 0:
@@ -362,46 +371,40 @@ def _tail(kind, X, t, side):
         val, err = _tail("psi", X, t, side)
         return 0.5 * val, 0.5 * err
 
-    # psi.
-    val = np.empty(t.shape, dtype=complex)
-    err = np.empty(t.shape)
-    low = np.abs(t) < 1e-12
-    if np.any(low):
-        # Fubini: integral_X^inf psi = 2 integral_X^inf (u - X)(-g)(u) du,
-        # and u * rho(u) collapses to (u+-1)^{-2}; same at the left tail.
-        q, rho = (_Q_RIGHT, _RHO_RIGHT) if side == "right" else (_Q_LEFT, _RHO_LEFT)
-        val[low] = (cosine_tail(q, X, 0.0) - X * cosine_tail(rho, X, 0.0)) / pi2
-        e = np.full(np.count_nonzero(low), (
-            _cosine_tail_err(q, X) + X * _cosine_tail_err(rho, X)
-        ) / pi2)
-        tl = np.abs(t[low])
-        moving = tl != 0.0
-        if np.any(moving):
-            # phase-variation bound for the neglected e^{-2 pi i t x} factor
-            tm = tl[moving]
-            xstar = 1.0 / (2.0 * np.pi * tm)
-            e[moving] += (tm / np.pi) * np.maximum(
-                0.0, np.log(np.maximum(xstar / X, 1.0))
-            )
-            e[moving] += 1.0 / (pi2 * np.maximum(X, xstar))
-        err[low] = e
-
-    high = ~low
-    if np.any(high):
+    # psi: two routes, and each frequency takes the one with the smaller
+    # bound.  At t = 0, Fubini: integral_X^inf psi = 2 integral_X^inf
+    # (u - X)(-g)(u) du, and u * rho(u) collapses to (u+-1)^{-2}; the same
+    # holds at the left tail.  Small t reuse that value and pay a
+    # phase-variation bound for the neglected e^{-2 pi i t x} factor.
+    q, rho = (_Q_RIGHT, _RHO_RIGHT) if side == "right" else (_Q_LEFT, _RHO_LEFT)
+    val = np.full(t.shape, (
+        cosine_tail(q, X, 0.0) - X * cosine_tail(rho, X, 0.0)
+    ) / pi2, dtype=complex)
+    err = np.full(t.shape, (
+        _cosine_tail_err(q, X) + X * _cosine_tail_err(rho, X)
+    ) / pi2)
+    moving = t != 0.0
+    if np.any(moving):
+        tm = t[moving]
+        xstar = 1.0 / (2.0 * np.pi * np.abs(tm))
+        phase = (np.abs(tm) / np.pi) * np.log(np.maximum(xstar / X, 1.0))
+        phase += 1.0 / (pi2 * np.maximum(X, xstar))
         # Integration by parts (psi' = 2g away from 0):
         #   integral_X^inf psi e^{-2 pi i t x} dx
         #     = psi(X) e^{-2 pi i X t}/(2 pi i t) + (pi i t)^{-1} * g-tail.
-        th = t[high]
-        denom = 2j * np.pi * th
-        gval, gerr = _tail("g", X, th, side)
+        # Both terms are ~psi(X)/(2 pi |t|) and cancel, so the rounding
+        # error of psi_closed(X) = 2 G(X) - 2 (a few ulp of 1, not of psi)
+        # is divided by 2 pi |t| as well.
+        denom = 2j * np.pi * tm
+        gval, gerr = _tail("g", X, tm, side)
         if side == "right":
-            edge = psi_closed(X)
-            boundary = edge * np.exp(-denom * X) / denom
+            boundary = psi_closed(X) * np.exp(-denom * X) / denom
         else:
-            edge = psi_closed(-X)
-            boundary = -edge * np.exp(denom * X) / denom
-        val[high] = boundary + 2.0 * gval / denom
-        err[high] = (1e-13 * edge + 2.0 * gerr) / np.abs(denom)
+            boundary = -psi_closed(-X) * np.exp(denom * X) / denom
+        parts_err = (_PSI_EDGE_ERR + 2.0 * gerr) / np.abs(denom)
+        by_parts = parts_err < phase
+        val[moving] = np.where(by_parts, boundary + 2.0 * gval / denom, val[moving])
+        err[moving] = np.where(by_parts, parts_err, err[moving] + phase)
     return val, err
 
 
@@ -440,7 +443,7 @@ def eval_G(x, tol=1e-8, strategy="quadrature", max_evals=10_000_000):
     if strategy != "quadrature":
         raise ValueError("strategy must be 'quadrature' or 'closed_form'")
 
-    T = _G_CUTOFF
+    T = TAIL_CUTOFF
     if x <= -T:
         val, err = tail_transform("g", -x, 0.0, "left")
         # integral_{-inf}^{x} g = left tail beyond |x|

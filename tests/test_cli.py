@@ -70,6 +70,17 @@ class TestEval:
         assert code == 0
         assert target.read_text().startswith("x,G,M,B,psi,phi")
 
+    def test_csv_spanning_several_row_blocks(self, capsys):
+        # 10,001 rows cross two block boundaries of the streamed writer; the
+        # text must equal the whole table formatted at once.
+        _, out, _ = run(capsys, "eval", "--grid", "-5:5:10001")
+        _, js, _ = run(capsys, "eval", "--grid", "-5:5:10001", "--format", "json")
+        cols = json.loads(js)["columns"]
+        names = ["x", "G", "M", "B", "psi", "phi"]
+        rows = zip(*(cols[name] for name in names))
+        expected = [",".join(names)] + [",".join(repr(v) for v in row) for row in rows]
+        assert out == "\n".join(expected) + "\n"
+
     @pytest.mark.parametrize(
         "grid", ["5:1:10", "1:1:5", "0:1:1", "abc", "1:2", "1:2:3:4", "nan:1:5"]
     )

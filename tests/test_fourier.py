@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extremal.fourier import (
-    _FT_CUTOFF,
     _filon_central,
     band_limit_check,
     g_hat,
@@ -18,7 +17,8 @@ from extremal.fourier import (
     psi_hat,
     psi_hat_scaled,
 )
-from extremal.majorants import tail_transform
+from extremal.majorants import TAIL_CUTOFF, tail_transform
+from extremal.quadrature import BudgetExceededError
 from extremal.specfun import triangle
 
 
@@ -26,8 +26,8 @@ def full_transform(kind, t):
     """Central Filon panel plus both channel tails (internal assembly,
     usable for kinds not exposed through numeric_ft)."""
     central, _, _ = _filon_central(kind, t)
-    right, _ = tail_transform(kind, _FT_CUTOFF, t, "right")
-    left, _ = tail_transform(kind, _FT_CUTOFF, t, "left")
+    right, _ = tail_transform(kind, TAIL_CUTOFF, t, "right")
+    left, _ = tail_transform(kind, TAIL_CUTOFF, t, "left")
     return central + left + right
 
 
@@ -139,6 +139,19 @@ class TestNumericFT:
     @pytest.mark.parametrize("t", [0.0, 1e-3, 0.3, 0.9999, -1.2, 2.0, -3.5])
     def test_psi_matches_closed_form(self, t):
         assert abs(numeric_ft("psi", t) - psi_hat(t)) < 1e-11
+
+    @pytest.mark.parametrize("tol", [1e-8, 1e-7])
+    @pytest.mark.parametrize("t", [-1e-11, 1e-11, 1e-10, 1e-9, 1e-8])
+    def test_psi_tiny_frequency_bound_honest(self, t, tol):
+        # Near t = 0 the integration-by-parts tail divides two cancelling
+        # terms by 2 pi t: whatever comes back, value or refusal, its
+        # reported accuracy must cover the true error.
+        try:
+            value = numeric_ft("psi", t, tol=tol)
+        except BudgetExceededError as exc:
+            assert exc.err_estimate >= abs(exc.value - psi_hat(t))
+        else:
+            assert abs(value - psi_hat(t)) <= tol
 
     def test_beurling_deficit_integral(self):
         # The interpolating majorant has half the deficit of the monotone one.

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -360,6 +361,26 @@ class TestSharpConstant:
         blocked = sharp_constant(ns, tol=1e-10)
         assert blocked.constant == pytest.approx(brute_constant(lam), abs=blocked.residual)
         assert blocked.constant == pytest.approx(dense.constant, abs=1e-12)
+
+    def test_dense_build_peak_memory(self):
+        # The dense A is filled in row blocks: the build's transient peak
+        # stays near A itself (a one-shot outer-product quotient doubles it).
+        n = 2048
+        ns = compute_deltas(np.arange(1.0, n + 1.0))
+        tracemalloc.start()
+        try:
+            apply_A = hb._antisym_apply(ns)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
+        # Same entries, bit for bit, as the one-shot formula (the solver's A
+        # is the transpose of coupling_matrix).
+        expected = coupling_matrix(ns)
+        for j in (0, 1, 777, n - 1):
+            unit = np.zeros(n)
+            unit[j] = 1.0
+            assert np.array_equal(apply_A(unit), expected[j])
 
     def test_import_leaves_sparse_linalg_unloaded(self):
         # The solver imports scipy.sparse.linalg on first use, which keeps it

@@ -22,9 +22,18 @@ class TestIntegrateWithTails:
         assert res.value == pytest.approx(exact, abs=1e-11)
         assert res.err_estimate < 1e-9
 
-    def test_error_estimate_honest(self):
-        res = integrate_with_tails("psi", tol=1e-8)
-        assert abs(res.value - 2.0) <= res.err_estimate + 1e-13
+    @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+    @pytest.mark.parametrize("kind", sorted(EXACT_INTEGRALS))
+    def test_error_estimate_honest(self, kind, tol):
+        res = integrate_with_tails(kind, tol=tol)
+        assert abs(res.value - EXACT_INTEGRALS[kind]) <= res.err_estimate + 1e-13
+
+    @pytest.mark.parametrize("kind", sorted(EXACT_INTEGRALS))
+    def test_window_sized_by_tail_budget(self, kind):
+        # The closed-form tails are exact beyond |x| = 64, so the numerical
+        # window stays there at any tolerance (a tol-dependent window of
+        # 31,623 cost psi 1.9 M evaluations at tol 1e-9).
+        assert integrate_with_tails(kind, tol=1e-9).evaluations <= 10_000
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
