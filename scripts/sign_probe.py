@@ -2,11 +2,14 @@
 """Sweep the interpolating-majorant sign probe over node counts and seeds.
 
 For each N the probe draws random node systems and coefficient vectors and
-evaluates the B-telescoped quadratic expression.  If this expression were
-provably nonnegative the conjectured sharp constant pi would follow, so the
-interesting output is the minimum value observed and whether anything ever
-dips negative.  This script reports data only; it cannot settle the sign
-question in either direction.
+evaluates the B-telescoped quadratic expression.  Every off-diagonal
+frequency lies in the band (|lambda_m - lambda_n| >= max(delta_m, delta_n)),
+so the value is exactly sum |a_n|^2/delta_n - Phi(a)/(pi i): a negative
+value would mean |Phi(a)| > pi sum |a_n|^2/delta_n on that system.  If this
+expression were provably nonnegative the conjectured sharp constant pi
+would follow, so the interesting output is the minimum value observed and
+whether anything ever dips negative.  This script reports data only; it
+cannot settle the sign question in either direction.
 
     python3 scripts/sign_probe.py --trials 2000
     python3 scripts/sign_probe.py --min-n 2 --max-n 8 --trials 500 --seeds 0 1 2

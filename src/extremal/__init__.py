@@ -34,6 +34,7 @@ from .fourier import (
     band_limit_check,
     g_hat,
     numeric_ft,
+    psi_beurling_hat,
     psi_hat,
     psi_hat_scaled,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "band_limit_check",
     "g_hat",
     "numeric_ft",
+    "psi_beurling_hat",
     "psi_hat",
     "psi_hat_scaled",
     "BOUND_FOURIER",

@@ -2,18 +2,16 @@
 
 Convention: f_hat(t) = integral f(x) exp(-2 pi i x t) dx.
 
-Closed forms: ``g_hat`` (piecewise elementary, supported on [-1, 1]),
-``psi_hat`` = (g_hat - 1)/(pi i t) with a Taylor branch near 0, and the
-scaling law ``psi_hat_scaled``.  The numerical route ``numeric_ft`` is a
-Filon scheme: interpolate the (non-oscillatory) kernel by Chebyshev
-polynomials on fixed panels of width 1/4 over [-T, T] with
-T = :data:`extremal.majorants.TAIL_CUTOFF` = 64, integrate each polynomial
-against exp(-2 pi i x t) exactly via monomial moments, and add the
-closed-form channel tails from :mod:`extremal.majorants` beyond T.  The kernel
-interpolation is built once per kind; ``numeric_ft`` takes an array of
-frequencies and evaluates them together, in fixed-size blocks, so the
-cost is one matrix product per block rather than one Python call per
-frequency.
+Closed forms: ``g_hat`` (piecewise elementary, supported on [-1, 1]), the
+deficit transforms ``psi_hat`` (of M) and ``psi_beurling_hat`` (of B), both
+-1/(pi i t) on |t| >= 1 and the kernels of the telescoping sum, and the
+scaling law ``psi_hat_scaled``.  ``numeric_ft``, the independent check of
+those closed forms, is a Filon scheme: interpolate the (non-oscillatory)
+kernel by Chebyshev polynomials on fixed panels of width 1/4 over [-T, T]
+with T = :data:`extremal.majorants.TAIL_CUTOFF` = 64, integrate each
+polynomial against exp(-2 pi i x t) exactly via monomial moments, and add
+the closed-form channel tails from :mod:`extremal.majorants` beyond T.  The
+panels are built once per kind; frequencies go in fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -32,21 +30,18 @@ from .majorants import (
     tail_transform,
 )
 from .quadrature import BudgetExceededError
+from .specfun import _as_array, sinc
 
 __all__ = [
     "g_hat",
     "psi_hat",
+    "psi_beurling_hat",
     "psi_hat_scaled",
     "numeric_ft",
     "band_limit_check",
 ]
 
 _TWO_PI = 2.0 * np.pi
-
-
-def _as_array(t):
-    arr = np.asarray(t, dtype=float)
-    return arr, (arr.ndim == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,33 +68,60 @@ def g_hat(t):
     return complex(out) if scalar else out
 
 
+def _band(arr):
+    """-1/(pi i t) elementwise, with a placeholder at t = 0."""
+    return 1j / (np.pi * np.where(arr == 0.0, 1.0, arr))
+
+
 def psi_hat(t):
     """Closed-form transform of the deficit psi = M - sgn.
 
-    psi_hat(t) = (g_hat(t) - 1)/(pi i t) for t != 0, psi_hat(0) = 2; equals
-    -1/(pi i t) exactly on |t| >= 1 (band identity).  |t| < 1e-5 uses the
-    second-order Taylor branch to dodge the 0/0 cancellation.
+    psi_hat(t) = (g_hat(t) - 1)/(pi i t), written for |t| < 1 without the
+    0/0 as 2 e^{i pi t} sinc(t) (1 - |t| - i sgn(t)/(2 pi)) + i sgn(t)/pi
+    (psi_hat(0) = 2); -1/(pi i t) exactly on |t| >= 1 (band identity).
     """
     arr, scalar = _as_array(t)
     if not np.all(np.isfinite(arr)):
         raise ValueError("t must be finite")
-    at = np.abs(arr)
-    safe = np.where(arr == 0.0, 1.0, arr)
-
-    band = 1j / (np.pi * safe)
-    with np.errstate(invalid="ignore"):
-        generic = (g_hat(np.clip(arr, -1.0, 1.0)) - 1.0) / (1j * np.pi * safe)
-    taylor = (
-        2.0
-        - at
-        + 2j * np.pi * arr
-        - (4.0 * np.pi**2 / 3.0) * arr * arr
-        - (4j * np.pi / 3.0) * arr * at
+    sgn = np.sign(arr)
+    inside = (
+        2.0 * np.exp(1j * np.pi * arr) * sinc(arr)
+        * (1.0 - np.abs(arr) - (0.5j / np.pi) * sgn)
+        + (1j / np.pi) * sgn
     )
-
-    out = np.where(at < 1e-5, taylor, np.where(at >= 1.0, band, generic))
-    out = np.where(arr == 0.0, 2.0 + 0.0j, out)
+    out = np.where(np.abs(arr) >= 1.0, _band(arr), inside)
     return complex(out) if scalar else out
+
+
+# cot x - 1/x = sum_k c_k x^(2k+1); the omitted terms are < 3e-20 at 0.05 pi.
+_COT_SERIES = (-1 / 3, -1 / 45, -2 / 945, -1 / 4725, -2 / 93555,
+               -1382 / 638512875, -4 / 18243225)
+
+
+def psi_beurling_hat(t):
+    """Closed-form transform of the deficit B - sgn of the interpolating
+    majorant (Vaaler, Bull. AMS 12, 1985): 1 at t = 0 (the deficit
+    integral), (1 - |t|) [1 - i (cot(pi t) - 1/(pi t))] for 0 < |t| < 1,
+    and -1/(pi i t) exactly on |t| >= 1 (band identity); exactly Hermitian.
+
+    Below |t| = 0.05, cot x - 1/x cancels, so its series is summed; above
+    1/2, cot(pi |t|) = -1/tan(pi (1 - |t|)), because 1 - |t| is exact there.
+    """
+    arr, scalar = _as_array(t)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("t must be finite")
+    flat = arr.reshape(-1)
+    out = _band(flat)
+    inside = np.abs(flat) < 1.0
+    a = np.abs(flat[inside])
+    x = np.pi * a
+    h = x * np.polyval(_COT_SERIES[::-1], x * x)  # cot x - 1/x
+    big = a >= 0.05
+    b = a[big]
+    cot = np.where(b > 0.5, -1.0 / np.tan(np.pi * (1.0 - b)), 1.0 / np.tan(x[big]))
+    h[big] = cot - 1.0 / x[big]
+    out[inside] = (1.0 - a) * (1.0 - 1j * np.sign(flat[inside]) * h)
+    return complex(out[0]) if scalar else out.reshape(arr.shape)
 
 
 def psi_hat_scaled(delta, t):
@@ -151,30 +173,14 @@ _CHEB_NODES, _CHEB_V, _CHEB_C2P = _chebyshev_setup()
 _EDGES = np.arange(-TAIL_CUTOFF, TAIL_CUTOFF + 0.5 * _FT_PANEL, _FT_PANEL)
 _CENTERS = 0.5 * (_EDGES[:-1] + _EDGES[1:])
 
-# Panel phases factor through groups of _FT_GROUP neighbours: with group
-# offsets C_j = j * _FT_GROUP * h and in-group centers s_b,
-#   exp(-2 pi i (C_j + s_b) t) = exp(-2 pi i C_j t) * exp(-2 pi i s_b t),
-# so a frequency needs about 2 * _FT_GROUP exponentials instead of one per
-# panel.  Group j = 0 straddles the origin (C_0 = 0), so the panels that
-# carry most of each kernel keep phase arguments as small as the unfactored
-# sum; half a group of empty panels pads each end of [-T, T].
-_FT_GROUP = 64
-_N_GROUPS = _CENTERS.size // _FT_GROUP + 1
-_GROUP_OFFSETS = _FT_GROUP * _FT_PANEL * (np.arange(_N_GROUPS) - _N_GROUPS // 2)
-_GROUP_CENTERS = _FT_PANEL * (np.arange(_FT_GROUP) - 0.5 * (_FT_GROUP - 1))
-_PAD = _FT_GROUP // 2
-# Frequencies per block: bounds the working set at ~1.5 MB for any input size.
+# Frequencies per block: bounds the working set at ~3 MB for any input size.
 _FT_BLOCK = 128
 
 _panel_cache: dict = {}
 
 
 def _panel_data(kind):
-    """Cached per-panel monomial coefficients and interpolation-error bound.
-
-    The coefficients come grouped for the factored phase sum: row j holds
-    the (in-group panel b, degree l) coefficients of group j, flattened.
-    """
+    """Cached per-panel monomial coefficients and interpolation-error bound."""
     cached = _panel_cache.get(kind)
     if cached is not None:
         return cached
@@ -189,11 +195,7 @@ def _panel_data(kind):
     est = 1.5 * _FT_PANEL * float(
         np.sum(np.abs(cheb_coeffs[:, -2]) + np.abs(cheb_coeffs[:, -1]))
     )
-    n_evals = xs.size
-    padded = np.zeros((_N_GROUPS * _FT_GROUP, _FT_DEGREE + 1))
-    padded[_PAD : _PAD + _CENTERS.size] = mono
-    grouped = padded.reshape(_N_GROUPS, -1)
-    _panel_cache[kind] = (grouped, est, n_evals)
+    _panel_cache[kind] = (mono, est, xs.size)
     return _panel_cache[kind]
 
 
@@ -234,32 +236,27 @@ def _moments(omega):
     return m
 
 
-def _filon_block(mono, t):
-    """Central Filon sum for a 1-d block of at most _FT_BLOCK frequencies."""
-    half = 0.5 * _FT_PANEL
-    m = _moments(_TWO_PI * t * half)
-    inner = np.exp(-2j * np.pi * _GROUP_CENTERS[:, None] * t)
-    outer = np.exp(-2j * np.pi * _GROUP_OFFSETS[:, None] * t)
-    # w[(b, l), f] = in-group phase b times moment l; the sum over (b, l) is
-    # one real matrix product on the interleaved real/imaginary parts.
-    w = (inner[:, None, :] * m[None, :, :]).reshape(-1, t.size)
-    per_group = (mono @ w.view(float)).view(complex)
-    return half * np.sum(outer * per_group, axis=0)
-
-
 def _filon_central(kind, t):
-    """integral_{-T}^{T} kernel(x) exp(-2 pi i x t) dx via cached panels.
+    """integral_{-T}^{T} kernel(x) exp(-2 pi i x t) dx via cached panels,
+    _FT_BLOCK frequencies at a time.
 
     Returns ``(value, err_estimate, evaluations)``; ``value`` has the shape
     of ``t`` (a Python ``complex`` for a scalar).
     """
     mono, est, n_evals = _panel_data(kind)
+    half = 0.5 * _FT_PANEL
     arr = np.asarray(t, dtype=float)
     flat = arr.ravel()
     value = np.empty(flat.shape, dtype=complex)
     for start in range(0, flat.size, _FT_BLOCK):
-        block = slice(start, start + _FT_BLOCK)
-        value[block] = _filon_block(mono, flat[block])
+        block = flat[start : start + _FT_BLOCK]
+        m = _moments(_TWO_PI * block * half)
+        # The sum over degrees is one real matrix product on the interleaved
+        # real/imaginary parts of the moments; a complex product would go
+        # through multi-threaded BLAS, whose threads then spin for nothing.
+        per_panel = (mono @ m.view(float)).view(complex)
+        phase = np.exp(-2j * np.pi * _CENTERS[:, None] * block)
+        value[start : start + _FT_BLOCK] = half * np.sum(phase * per_panel, axis=0)
     value = complex(value[0]) if arr.ndim == 0 else value.reshape(arr.shape)
     return value, est, n_evals
 

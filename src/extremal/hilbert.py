@@ -12,14 +12,16 @@ here by one Lanczos solve on the square of the underlying antisymmetric
 matrix and certified by a Hermitian residual bound.  The frequency-domain
 telescoping sum that proves the C = 2*pi bound is implemented as an
 executable identity, for both the monotone majorant M and the interpolating
-majorant B (numerically transformed).  Its steps collapse to one n x n
-kernel,
+majorant B, each through its closed-form deficit transform.  Its steps
+collapse to one n x n kernel,
 
     S = sum_{m,n} a_m conj(a_n) F_{max(delta_m, delta_n)}(lambda_m - lambda_n),
 
-with F_delta the delta-rescaled deficit transform.  Two randomized
-experiments sit on top: minimizing the B-telescoping value (an open
-sign question) and maximizing the sharp constant over node systems.
+with F_delta the delta-rescaled deficit transform.  Off the diagonal every
+frequency lies in the band (|lambda_m - lambda_n| >= max(delta_m, delta_n)),
+so S = c sum |a_n|^2/delta_n - Phi(a)/(pi i), with c = 2 for M, 1 for B.
+Two randomized experiments sit on top: minimizing the B-telescoping value
+(an open sign question) and maximizing the sharp constant over node systems.
 
 Named constants, for reference against the searches:
 
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fourier import numeric_ft, psi_hat
+from .fourier import psi_beurling_hat, psi_hat
 
 __all__ = [
     "NodeSystem",
@@ -322,10 +324,8 @@ def sharp_constant(nodes, tol=1e-10, seed=0, max_iterations=100_000):
 def _deficit_hat_matrix(majorant, delta, freq):
     """Rescaled deficit transform delta^{-1} f_hat(freq / delta), elementwise
     (``delta`` a scalar or an array broadcasting against ``freq``)."""
-    scaled = freq / delta
-    if majorant == "M":
-        return psi_hat(scaled) / delta
-    return numeric_ft("psi_beurling", scaled, tol=1e-6) / delta
+    transform = psi_hat if majorant == "M" else psi_beurling_hat
+    return transform(freq / delta) / delta
 
 
 def _telescoping_complex(nodes, a, majorant):
@@ -352,15 +352,14 @@ def telescoping_sum(nodes, a, majorant="M"):
 
     S = sum_{m,n} a_m conj(a_n) F_{max(delta_m, delta_n)}(lambda_m - lambda_n),
 
-    which is what is evaluated: the closed form ``psi_hat`` for M, one
-    array call of ``numeric_ft("psi_beurling", ...)`` on all n^2
-    frequencies for BeurlingB.  Every entry is computed, so the imaginary
-    residue measures the numerical asymmetry; it is checked (1e-8 for M,
-    1e-6 for the numerically transformed BeurlingB) and the real part
-    returned.
+    which is what is evaluated, through ``psi_hat`` (M) or
+    ``psi_beurling_hat`` (BeurlingB); off the diagonal both are in the band,
+    so S = c sum |a_n|^2/delta_n - Phi(a)/(pi i) with c = 2 or 1.  Every
+    entry is computed, so the imaginary residue measures the rounding
+    asymmetry; it is checked (1e-8) and the real part returned.
     """
     total = _telescoping_complex(nodes, a, majorant)
-    limit = 1e-8 if majorant == "M" else 1e-6
+    limit = 1e-8
     scale = max(1.0, float(np.sum(np.abs(np.asarray(a)) ** 2)))
     if abs(total.imag) > limit * scale:
         raise ArithmeticError(
@@ -396,9 +395,11 @@ def remark_experiment(n_nodes, trials, seed):
     Draws ``trials`` node systems (uniform on [0, 10] conditioned on a
     minimum gap) and complex Gaussian coefficients, records the telescoping
     value for the interpolating majorant, and reports the minimum with its
-    configuration plus summary statistics.  The report states data only:
-    whether the expression can go negative is an open question and no sign
-    claim is made or checked.
+    configuration plus summary statistics.  Every off-diagonal kernel entry
+    lies in the band, so each value is sum |a_n|^2/delta_n - Phi(a)/(pi i):
+    a negative one would mean |Phi(a)| > pi sum |a_n|^2/delta_n on that
+    system.  The report states data only: whether the expression can go
+    negative is an open question and no sign claim is made or checked.
     """
     n_nodes = int(n_nodes)
     trials = int(trials)

@@ -1,4 +1,4 @@
-"""Fourier transforms: closed forms for the kernel and the deficit, the
+"""Fourier transforms: closed forms for the kernel and the deficits, the
 oscillatory-quadrature engine, and the band-limit identity."""
 
 import cmath
@@ -14,6 +14,7 @@ from extremal.fourier import (
     band_limit_check,
     g_hat,
     numeric_ft,
+    psi_beurling_hat,
     psi_hat,
     psi_hat_scaled,
 )
@@ -107,6 +108,75 @@ class TestPsiHat:
             assert psi_hat(t).real == pytest.approx(
                 2.0 - abs(t) - quadratic, abs=30.0 * abs(t) ** 3 + 1e-14
             )
+
+    def test_matches_mpmath(self):
+        # (g_hat - 1)/(pi i t) at 40 digits, on log-spaced |t| down to 1e-12
+        # where the quotient cancels in double precision.
+        mpmath = pytest.importorskip("mpmath")
+        mags = np.logspace(-12, 0, 241, endpoint=False)
+        ts = np.concatenate([mags, -mags])
+        with mpmath.workdps(40):
+            ref = []
+            for t in ts:
+                tm = mpmath.mpf(float(t))
+                e = mpmath.expj(2 * mpmath.pi * tm)
+                g = (1 - abs(tm)) * e + mpmath.sign(tm) * (e - 1) / (2j * mpmath.pi)
+                ref.append(complex((g - 1) / (1j * mpmath.pi * tm)))
+        assert np.max(np.abs(psi_hat(ts) - np.array(ref))) <= 2e-15
+
+
+# Frequencies near the origin, the series handover at 0.05, the reflection
+# at 1/2 and the band edge, on both sides of 0.
+_BEURLING_MAGS = np.concatenate([
+    np.logspace(-12, -1, 45),
+    [0.0499999, 0.05, 0.0500001, 0.25, 0.37, 0.4999999, 0.5, 0.5000001, 0.8],
+    1.0 - np.logspace(-14, -2, 13),
+])
+BEURLING_TS = np.concatenate([_BEURLING_MAGS, -_BEURLING_MAGS])
+
+
+class TestPsiBeurlingHat:
+    def test_matches_numeric_ft(self):
+        ts = np.concatenate([BEURLING_TS, np.linspace(-3.0, 3.0, 601)])
+        got = psi_beurling_hat(ts)
+        assert np.max(np.abs(got - numeric_ft("psi_beurling", ts))) <= 1e-13
+
+    def test_matches_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            ref = []
+            for t in BEURLING_TS:
+                tm = mpmath.mpf(float(t))
+                h = mpmath.cot(mpmath.pi * tm) - 1 / (mpmath.pi * tm)
+                ref.append(complex((1 - abs(tm)) * (1 - 1j * h)))
+        got = psi_beurling_hat(BEURLING_TS)
+        assert np.max(np.abs(got - np.array(ref))) <= 5e-15
+
+    def test_deficit_integral_at_zero(self):
+        assert psi_beurling_hat(0.0) == 1.0
+
+    def test_band_identity_exact(self):
+        for t in (1.0, -1.0, 1.25, -2.0, 3.5, 100.0):
+            assert psi_beurling_hat(t) == 1j / (math.pi * t)
+
+    def test_hermitian_symmetry_exact(self):
+        ts = np.concatenate([BEURLING_TS, [1.0, 1.5, 7.0]])
+        assert np.array_equal(psi_beurling_hat(-ts), np.conj(psi_beurling_hat(ts)))
+
+    def test_scalar_and_shape(self):
+        assert type(psi_beurling_hat(0.3)) is complex
+        assert type(psi_beurling_hat(np.float64(-1.5))) is complex
+        t = BEURLING_TS[:12].reshape(3, 4)
+        got = psi_beurling_hat(t)
+        assert got.shape == (3, 4) and got.dtype == complex
+        assert np.array_equal(got.ravel(), psi_beurling_hat(t.ravel()))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError):
+            psi_beurling_hat(np.array([0.5, bad]))
+        with pytest.raises(ValueError):
+            psi_beurling_hat(bad)
 
 
 class TestPsiHatScaled:
