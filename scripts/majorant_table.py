@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Emit plot data for the majorants and their deficits, plus summary rows.
 
-Writes a CSV with columns x, G, M, B, psi, phi over a symmetric grid and
-prints the deficit integrals computed two ways (adaptive quadrature vs the
-exact values 2 and 1) as a sanity footer.
+Writes the CSV of ``extremal eval`` (columns x, G, M, B, psi, phi) over a
+symmetric grid and prints the deficit integrals computed two ways
+(adaptive quadrature vs the exact values 2 and 1) as a sanity footer on
+stderr.
 
     python3 scripts/majorant_table.py -o majorants.csv
     python3 scripts/majorant_table.py --half-width 8 --points 4001
@@ -12,13 +13,10 @@ exact values 2 and 1) as a sanity footer.
 import argparse
 import sys
 
-import numpy as np
-
-from extremal import integrals
-from extremal.majorants import G_closed, beurling_b, psi_closed
+from extremal import cli, integrals
 
 MAJORANT_DEFICIT = 2.0   # integral of M - sgn
-BEURLING_DEFICIT = 1.0   # integral of B - sgn
+HEAVISIDE_DEFICIT = 1.0  # integral of G - x_+^0, the Heaviside majorant's deficit
 
 
 def main():
@@ -28,27 +26,22 @@ def main():
     ap.add_argument("-o", "--output", default=None)
     args = ap.parse_args()
 
-    x = np.linspace(-args.half_width, args.half_width, args.points)
-    G = G_closed(x)
-    M = 2.0 * G - 1.0
-    B = beurling_b(x)
-    psi = M - np.sign(x)
-    phi = psi_closed(-x)
-
-    out = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
-    out.write("x,G,M,B,psi,phi\n")
-    for row in zip(x, G, M, B, psi, phi):
-        out.write(",".join(repr(float(v)) for v in row) + "\n")
+    half = args.half_width
+    argv = ["eval", f"--grid={-half!r}:{half!r}:{args.points}"]
     if args.output:
-        out.close()
+        argv += ["-o", args.output]
+    code = cli.main(argv)
+    if code:
+        return code
 
     res = integrals.integrate_with_tails("psi", 1e-10)
     print(f"# deficit of M: quadrature {res.value:.12f}  exact "
           f"{MAJORANT_DEFICIT}  ({res.evaluations} evals)", file=sys.stderr)
     resb = integrals.integrate_with_tails("G_minus_heaviside", 1e-10)
     print(f"# deficit of G vs Heaviside: quadrature {resb.value:.12f}  exact "
-          f"{BEURLING_DEFICIT}", file=sys.stderr)
+          f"{HEAVISIDE_DEFICIT}", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

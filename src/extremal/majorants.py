@@ -4,20 +4,25 @@ Core objects:
 
 * the kernel triple ``g``, ``H``, ``h`` (``H = -u g``, ``g = -u h^2``) with
   all removable singularities handled by exact algebraic rearrangement,
-* the antiderivative ``G`` (closed form and auditable quadrature route),
+* the antiderivative ``G`` in closed form (``G_closed``),
 * the monotone majorant ``M = 2G - 1``, the interpolating majorant ``B``
   built from trigamma, the minorant ``-M(-x)``, and the deficit functions
   ``psi = M - sgn`` and ``phi(x) = psi(-x)``,
 * closed-form tail machinery: every kernel here decays like
   ``(1 - cos 2 pi x) * (inverse-power envelope)``, so integrals and Fourier
-  transforms of tails reduce to :func:`extremal.quadrature.cosine_tail`.
+  transforms of tails reduce to :func:`extremal.quadrature.cosine_tail`,
+* :func:`line_integral`, the one routine that integrates g, H, psi or
+  ``G - x_+^0`` over any interval: adaptive quadrature on the window
+  ``[-TAIL_CUTOFF, TAIL_CUTOFF]`` plus closed-form tails beyond it, with a
+  checked error estimate.
 
 Conventions: ``sgn(0) = 0`` and the upper Heaviside ``x_+^0(0) = 1``.
 
-Scalar entry points (``eval_G``, ``eval_majorant``, ``eval_deficit``)
-validate tolerances and report honest error estimates; the vectorized
-closed forms (``G_closed`` etc.) are the bulk path used for grids and
-Fourier node tables and are tested against the quadrature route.
+The vectorized closed forms (``G_closed`` etc.) are the bulk path used for
+grids and Fourier node tables.  ``eval_G`` (and ``eval_majorant`` and
+``eval_deficit`` on top of it) is the auditable quadrature route of G
+through :func:`line_integral`; it validates its tolerance and the two
+routes are tested against each other.
 """
 
 from __future__ import annotations
@@ -28,12 +33,13 @@ import numpy as np
 from scipy.special import sici
 
 from .quadrature import (
-    ToleranceNotMetError,
     BudgetExceededError,
+    QuadResult,
+    ToleranceNotMetError,
     cosine_tail,
     integrate_adaptive,
 )
-from .specfun import sinc, trigamma
+from .specfun import _as_array, sinc, trigamma
 
 __all__ = [
     "sgn",
@@ -62,11 +68,6 @@ _EULER_GAMMA = 0.5772156649015329
 
 _TOL_MIN = 1e-12
 _TOL_MAX = 1e-4
-
-
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, (arr.ndim == 0)
 
 
 def sgn(x):
@@ -409,6 +410,69 @@ def _tail(kind, X, t, side):
 
 
 # ---------------------------------------------------------------------------
+# Line integrals: the one place that splits an integral into the adaptive
+# window and the closed-form tails.
+
+_LINE_INTEGRANDS = {
+    "g": kernel_g,
+    "H": kernel_H,
+    "psi": psi_closed,
+    "G_minus_heaviside": g_minus_heaviside_closed,
+}
+
+# Starting panel width of the adaptive scheme.  At the default 0.5 the
+# initial mesh of [-64, 64] already meets every admissible tol, so the cost
+# would not follow tol; width 4 lets the refinement do that.
+_PANEL_WIDTH = 4.0
+
+
+def line_integral(kind, a, b, tol, max_evals=10_000_000):
+    """integral_a^b of g, H, psi or G - x_+^0, for -inf <= a < b <= inf.
+
+    The part of [a, b] inside [-T, T], T = TAIL_CUTOFF, is integrated
+    adaptively to ``tol / 2``; each part outside is the closed-form
+    difference tail(X_near) - tail(X_far), with the far term dropped at an
+    infinite end.  Returns a :class:`QuadResult` whose estimate sums the
+    quadrature and tail bounds.  Raises :class:`ToleranceNotMetError`,
+    carrying the value and the estimate, when the evaluation budget runs
+    out or the estimate exceeds ``tol``.
+    """
+    if kind not in _LINE_INTEGRANDS:
+        raise ValueError(
+            f"unknown kernel kind {kind!r}; "
+            f"expected one of {tuple(_LINE_INTEGRANDS)}"
+        )
+    T = TAIL_CUTOFF
+    lo, hi = max(a, -T), min(b, T)
+    exhausted = None
+    quad = QuadResult(0.0, 0.0, 0)
+    if lo < hi:
+        try:
+            quad = integrate_adaptive(
+                _LINE_INTEGRANDS[kind], lo, hi, 0.5 * tol, max_evals,
+                initial_panel_width=_PANEL_WIDTH,
+            )
+        except BudgetExceededError as exc:
+            quad = exhausted = exc
+    value, est = quad.value, quad.err_estimate
+    # Each side as a range of |x|: [near, far] with near >= T.
+    for side, near, far in (("right", max(a, T), b), ("left", max(-b, T), -a)):
+        if near < far:
+            tail, err = tail_transform(kind, near, 0.0, side)
+            if far < math.inf:
+                far_tail, far_err = tail_transform(kind, far, 0.0, side)
+                tail, err = tail - far_tail, err + far_err
+            value += tail.real
+            est += err
+    if exhausted is not None or est > tol:
+        reason = "quadrature budget exhausted" if exhausted else "tolerance not met"
+        raise ToleranceNotMetError(
+            f"{reason}: achieved {est:g}, requested {tol:g}", value, est
+        ) from exhausted
+    return QuadResult(value, est, quad.evaluations)
+
+
+# ---------------------------------------------------------------------------
 # Scalar evaluators with tolerance contracts.
 
 def _check_tol(tol):
@@ -425,87 +489,43 @@ def _check_x(x):
     return x
 
 
-def eval_G(x, tol=1e-8, strategy="quadrature", max_evals=10_000_000):
-    """G(x) to absolute accuracy ``tol``.
+def eval_G(x, tol=1e-8, max_evals=10_000_000):
+    """G(x) = integral_{-inf}^x g to absolute accuracy ``tol``.
 
-    ``strategy="quadrature"`` (default) integrates the kernel adaptively on
-    the finite window and adds closed-form channel tails, keeping a fully
-    auditable error budget; ``strategy="closed_form"`` uses the Cin/Si
-    antiderivative directly.  Both routes agree to ~1e-13 and are tested
-    against each other.  Raises :class:`ToleranceNotMetError` (carrying the
+    The auditable quadrature route through :func:`line_integral`; the
+    Cin/Si antiderivative :func:`G_closed` is the other route, and the two
+    agree to ~1e-13.  Raises :class:`ToleranceNotMetError` (carrying the
     achieved estimate) if the budget runs out before the tolerance is met.
     """
-    x = _check_x(x)
-    tol = _check_tol(tol)
-
-    if strategy == "closed_form":
-        return G_closed(x)
-    if strategy != "quadrature":
-        raise ValueError("strategy must be 'quadrature' or 'closed_form'")
-
-    T = TAIL_CUTOFF
-    if x <= -T:
-        val, err = tail_transform("g", -x, 0.0, "left")
-        # integral_{-inf}^{x} g = left tail beyond |x|
-        value, est = val.real, err
-        if est > tol:
-            raise ToleranceNotMetError(
-                f"achieved {est:g} > requested {tol:g}", value, est
-            )
-        return value
-
-    left_val, left_err = tail_transform("g", T, 0.0, "left")
-    upper = min(x, T)
-    try:
-        quad = integrate_adaptive(
-            kernel_g, -T, upper, tol=0.5 * tol, max_evals=max_evals
-        )
-    except BudgetExceededError as exc:
-        raise ToleranceNotMetError(
-            f"quadrature budget exhausted: achieved {exc.err_estimate:g} "
-            f"> requested {tol:g}",
-            left_val.real + exc.value,
-            left_err + exc.err_estimate,
-        ) from exc
-    value = left_val.real + quad.value
-    est = left_err + quad.err_estimate
-
-    if x > T:
-        near, err_near = tail_transform("g", T, 0.0, "right")
-        far, err_far = tail_transform("g", x, 0.0, "right")
-        value += near.real - far.real
-        est += err_near + err_far
-
-    if est > tol:
-        raise ToleranceNotMetError(
-            f"achieved {est:g} > requested {tol:g}", value, est
-        )
-    return value
+    return line_integral(
+        "g", -math.inf, _check_x(x), _check_tol(tol), max_evals
+    ).value
 
 
-def eval_majorant(kind, x, tol=1e-8, strategy="quadrature"):
+def eval_majorant(kind, x, tol=1e-8):
     """Evaluate one of {G, M, BeurlingB, MinorantOfSgn} at scalar x."""
     x = _check_x(x)
     tol = _check_tol(tol)
     if kind == "G":
-        return eval_G(x, tol, strategy=strategy)
+        return eval_G(x, tol)
     if kind == "M":
-        return 2.0 * eval_G(x, 0.5 * tol, strategy=strategy) - 1.0
+        # G to tol/2 may lie below the least tol eval_G accepts.
+        return 2.0 * line_integral("g", -math.inf, x, 0.5 * tol).value - 1.0
     if kind == "BeurlingB":
         return beurling_b(x)
     if kind == "MinorantOfSgn":
-        return -eval_majorant("M", -x, tol, strategy=strategy)
+        return -eval_majorant("M", -x, tol)
     raise ValueError(
         f"unknown majorant kind {kind!r}; expected G, M, BeurlingB or "
         "MinorantOfSgn"
     )
 
 
-def eval_deficit(which, x, tol=1e-8, strategy="quadrature"):
+def eval_deficit(which, x, tol=1e-8):
     """Deficit psi(x) = M(x) - sgn(x) or phi(x) = psi(-x) at scalar x."""
     x = _check_x(x)
     if which == "psi":
-        return eval_majorant("M", x, tol, strategy=strategy) - sgn(x)
+        return eval_majorant("M", x, tol) - sgn(x)
     if which == "phi":
-        return eval_deficit("psi", -x, tol, strategy=strategy)
+        return eval_deficit("psi", -x, tol)
     raise ValueError(f"unknown deficit {which!r}; expected 'psi' or 'phi'")

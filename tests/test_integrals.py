@@ -6,6 +6,7 @@ import math
 import pytest
 
 from extremal.integrals import half_line_moments, integrate_with_tails, poisson_check
+from extremal.quadrature import ToleranceNotMetError
 
 EXACT_INTEGRALS = {
     "g": 1.0,
@@ -42,6 +43,12 @@ class TestIntegrateWithTails:
     def test_tol_floor(self):
         with pytest.raises(ValueError):
             integrate_with_tails("g", tol=1e-11)
+
+    def test_budget_failure_reported(self):
+        with pytest.raises(ToleranceNotMetError) as info:
+            integrate_with_tails("g", 1e-10, max_evals=200)
+        assert info.value.err_estimate > 1e-10
+        assert math.isfinite(info.value.value)
 
     def test_looser_tolerance_cheaper(self):
         cheap = integrate_with_tails("g", tol=1e-6)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extremal import majorants
 from extremal.majorants import (
     G_closed,
     M_closed,
+    TAIL_CUTOFF,
     ToleranceNotMetError,
     beurling_b,
     eval_G,
@@ -22,6 +24,7 @@ from extremal.majorants import (
     kernel_H,
     kernel_g,
     kernel_h,
+    line_integral,
     phi_closed,
     psi_beurling_closed,
     psi_closed,
@@ -162,15 +165,23 @@ class TestEvalG:
         got = eval_G(x, tol=1e-10)
         assert got == pytest.approx(G_TABLE[x], rel=1e-9, abs=1e-12)
 
-    def test_default_strategy_is_quadrature(self):
+    def test_default_tolerance(self):
         assert eval_G(1.3) == pytest.approx(G_closed(1.3), abs=1e-8)
 
-    def test_closed_strategy(self):
-        assert eval_G(1.3, strategy="closed_form") == G_closed(1.3)
+    def test_cost_follows_tol(self, monkeypatch):
+        evaluations = []
+        original = majorants.integrate_adaptive
 
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            eval_G(1.3, strategy="magic")
+        def counted(*args, **kwargs):
+            res = original(*args, **kwargs)
+            evaluations.append(res.evaluations)
+            return res
+
+        monkeypatch.setattr(majorants, "integrate_adaptive", counted)
+        eval_G(0.0, tol=1e-6)
+        eval_G(0.0, tol=1e-10)
+        cheap, tight = evaluations
+        assert cheap < tight
 
     @pytest.mark.parametrize("tol", [1e-13, 1e-3, 0.0, -1.0])
     def test_tolerance_validation(self, tol):
@@ -186,6 +197,39 @@ class TestEvalG:
             eval_G(math.nan)
 
 
+T = TAIL_CUTOFF
+# Interval ends inside, outside and on the window [-64, 64].
+ENDS = [-1e3, -80.0, -T, -10.0, 0.0, 3.3, T, 90.0, 1e4]
+
+
+class TestLineIntegral:
+    @pytest.mark.parametrize("x", ENDS)
+    def test_halves_of_g_sum_to_one(self, x):
+        left = line_integral("g", -math.inf, x, 1e-10)
+        right = line_integral("g", x, math.inf, 1e-10)
+        assert left.value + right.value == pytest.approx(1.0, abs=2e-10)
+        assert left.value == pytest.approx(G_closed(x), abs=1e-10)
+
+    @pytest.mark.parametrize("a,b", [
+        (a, b) for a in [-math.inf] + ENDS for b in ENDS + [math.inf] if a < b
+    ])
+    def test_matches_closed_antiderivative(self, a, b):
+        exact = (1.0 if b == math.inf else G_closed(b)) - (
+            0.0 if a == -math.inf else G_closed(a)
+        )
+        res = line_integral("g", a, b, 1e-10)
+        assert res.err_estimate <= 1e-10
+        assert res.value == pytest.approx(exact, abs=1e-10)
+
+    def test_window_outside_costs_nothing(self):
+        assert line_integral("g", 70.0, 200.0, 1e-10).evaluations == 0
+        assert line_integral("psi", -math.inf, -T, 1e-10).evaluations == 0
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError):
+            line_integral("h", 0.0, 1.0, 1e-8)
+
+
 class TestMajorantSurface:
     def test_M_is_affine_in_G(self):
         for x in (-2.0, 0.0, 1.5):
@@ -194,6 +238,10 @@ class TestMajorantSurface:
     def test_eval_majorant_dispatch(self):
         assert eval_majorant("G", 0.5) == pytest.approx(G_TABLE[0.5], rel=1e-9)
         assert eval_majorant("M", 0.0) == pytest.approx(2.0 * G_TABLE[0.0] - 1.0, rel=1e-9)
+        # M needs G to tol/2, below the least tol eval_G accepts.
+        assert eval_majorant("M", 0.0, 1e-12) == pytest.approx(
+            2.0 * G_TABLE[0.0] - 1.0, abs=1e-12
+        )
         assert eval_majorant("BeurlingB", 0.5) == pytest.approx(B_TABLE[0.5], rel=1e-12)
 
     def test_unknown_kind(self):
