@@ -19,10 +19,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+# argparse's gettext imports locale when the first parser is built; load it
+# with the module so that no command starts with an import.
+import locale  # noqa: F401
 import sys
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import hilbert as hb
 from . import integrals
@@ -257,7 +261,7 @@ def cmd_verify(config):
     tol = config.tolerance
     if not 1e-10 <= tol <= 1e-4:
         raise ValueError("verify tol must lie in [1e-10, 1e-4]")
-    rng = np.random.default_rng(int(config.seed))
+    rng = default_rng(int(config.seed))
     checks = []
 
     targets = {"g": 1.0, "psi": 2.0, "G_minus_heaviside": 1.0, "H": 1.0}

@@ -270,8 +270,8 @@ def numeric_ft(function_kind, t, tol=1e-7):
     finite.  Raises :class:`extremal.quadrature.BudgetExceededError` if the
     fixed scheme cannot certify ``tol`` at some frequency.  The scheme's
     estimate is ~1e-10, except for psi near t = 0, where the tail bound
-    peaks at ~5e-8 around |t| = 6e-9: ``tol=1e-8`` is refused for psi at
-    1e-9 <= |t| <= 3e-8.
+    peaks at ~3e-9 around |t| = 1.1e-7, so every admissible ``tol`` is
+    met.
     """
     if function_kind not in _PUBLIC_FT_KINDS:
         raise ValueError(

@@ -43,6 +43,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng
 
 from .fourier import psi_beurling_hat, psi_hat
 
@@ -291,7 +292,7 @@ def sharp_constant(nodes, tol=1e-10, seed=0, max_iterations=100_000):
         rayleigh = float(Av @ Av) / float(v @ v)
         return -apply_A(Av)
 
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     v0 = rng.standard_normal(n)
     op = LinearOperator((n, n), matvec=apply_square, dtype=float)
     try:
@@ -407,7 +408,7 @@ def remark_experiment(n_nodes, trials, seed):
         raise ValueError("remark experiment supports 2 <= n_nodes <= 32")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(int(seed))
+    rng = default_rng(int(seed))
 
     values = []
     residues = []
@@ -458,7 +459,7 @@ def constant_search(n_nodes, trials, seed):
         raise ValueError("constant search supports 2 <= n_nodes <= 2048")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = np.random.default_rng(int(seed))
+    rng = default_rng(int(seed))
 
     def evaluate(lam):
         ns = compute_deltas(lam)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import sici
 
 from .quadrature import (
     BudgetExceededError,
@@ -38,8 +37,9 @@ from .quadrature import (
     ToleranceNotMetError,
     cosine_tail,
     integrate_adaptive,
+    tail_channel,
 )
-from .specfun import _as_array, sinc, trigamma
+from .specfun import _as_array, si_cin, sinc, trigamma
 
 __all__ = [
     "sgn",
@@ -63,8 +63,6 @@ __all__ = [
     "TAIL_CUTOFF",
     "ToleranceNotMetError",
 ]
-
-_EULER_GAMMA = 0.5772156649015329
 
 _TOL_MIN = 1e-12
 _TOL_MAX = 1e-4
@@ -148,39 +146,22 @@ def eval_kernel(kind, u):
 #
 # (Checked against the quadrature route and by differentiating back to g.)
 
-def _cin(z):
-    """Entire cosine integral Cin(z) = gamma + log|z| - Ci(|z|), even in z."""
-    arr, scalar = _as_array(z)
-    az = np.abs(arr)
-    small = az < 0.25
-    azs = np.where(small, 1.0, az)  # placate log/Ci on the small branch
-    ci = sici(azs)[1]
-    direct = _EULER_GAMMA + np.log(azs) - ci
-    z2 = arr * arr
-    series = (z2 / 4.0) * (
-        1.0 - (z2 / 24.0) * (1.0 - (z2 / 45.0) * (1.0 - 3.0 * z2 / 224.0))
-    )
-    out = np.where(small, series, direct)
-    return float(out) if scalar else out
-
-
-def _si(z):
-    """Sine integral Si(z), odd in z."""
-    arr, scalar = _as_array(z)
-    out = np.sign(arr) * sici(np.abs(arr))[0]
-    return float(out) if scalar else out
-
-
 def G_closed(x):
-    """Vectorized closed form of G (accurate to ~1e-14 absolute)."""
+    """Vectorized closed form of G, within 1e-15 absolute of mpmath.
+
+    The bound is the one tests/test_majorants.py enforces on a seeded sweep
+    of [-1e4, 1e4] and at the points where the closed form cancels.
+    Si and Cin are evaluated once per argument, 2 pi x and 2 pi (x + 1),
+    in one :func:`~extremal.specfun.si_cin` call.
+    """
     arr, scalar = _as_array(x)
     x1 = arr + 1.0
-    tp = 2.0 * np.pi
+    si, cin = si_cin((2.0 * np.pi) * np.stack([arr, x1]))
     out = (
         0.5
-        - (_cin(tp * arr) - _cin(tp * x1)) / (2.0 * np.pi**2)
+        - (cin[0] - cin[1]) / (2.0 * np.pi**2)
         - x1 * sinc(x1) ** 2
-        + _si(tp * x1) / np.pi
+        + si[1] / np.pi
     )
     return float(out) if scalar else out
 
@@ -301,8 +282,9 @@ TAIL_KINDS = ("g", "H", "psi", "G_minus_heaviside", "psi_beurling")
 # window only adds integrand evaluations.
 TAIL_CUTOFF = 64.0
 
-# Absolute rounding error of psi_closed(+-X) for X >= TAIL_CUTOFF; measured
-# against mpmath: at most 2.1e-16 at X = +-64 and +-512.
+# Absolute rounding error of psi_closed(+-X) for X >= TAIL_CUTOFF.
+# tests/test_majorants.py checks it against mpmath at X = +-64, +-128, +-512
+# and +-4096, where the error is at most 3.1e-16.
 _PSI_EDGE_ERR = 1e-15
 
 
@@ -375,8 +357,14 @@ def _tail(kind, X, t, side):
     # psi: two routes, and each frequency takes the one with the smaller
     # bound.  At t = 0, Fubini: integral_X^inf psi = 2 integral_X^inf
     # (u - X)(-g)(u) du, and u * rho(u) collapses to (u+-1)^{-2}; the same
-    # holds at the left tail.  Small t reuse that value and pay a
-    # phase-variation bound for the neglected e^{-2 pi i t x} factor.
+    # holds at the left tail.  Small t add the phase e^{-2 pi i t x} - 1 on
+    # the leading term of psi.  On x >= X (mirrored on the left) psi is
+    # (1/pi^2) integral_x^inf (1 - cos 2 pi u) rho(u) du, rho = 1/(u (u+-1)^2),
+    # which splits as 1/(2 pi^2 x^2) + r + o: |r| <= 1/(pi^2 x^2 (x-1)) from
+    # the series of integral_x^inf rho, and |o| <= rho(x)/pi^3 by the second
+    # mean value theorem.  The phase on the leading term is one E_2 channel
+    # minus its t = 0 value (real part -|t|/2 to first order); on r and o,
+    # |e^{-2 pi i t x} - 1| <= 2 pi |t| x charges 2|t|(1/pi + 1/pi^2)/(X-1).
     q, rho = (_Q_RIGHT, _RHO_RIGHT) if side == "right" else (_Q_LEFT, _RHO_LEFT)
     val = np.full(t.shape, (
         cosine_tail(q, X, 0.0) - X * cosine_tail(rho, X, 0.0)
@@ -387,9 +375,10 @@ def _tail(kind, X, t, side):
     moving = t != 0.0
     if np.any(moving):
         tm = t[moving]
-        xstar = 1.0 / (2.0 * np.pi * np.abs(tm))
-        phase = (np.abs(tm) / np.pi) * np.log(np.maximum(xstar / X, 1.0))
-        phase += 1.0 / (pi2 * np.maximum(X, xstar))
+        lead = 0.5 / pi2
+        phase_val = tail_channel((lead,), X, tm if side == "right" else -tm) - lead / X
+        phase = 2.0 * np.abs(tm) * (1.0 / np.pi + 1.0 / pi2) / (X - 1.0)
+        phase += 2e-13 * lead / X
         # Integration by parts (psi' = 2g away from 0):
         #   integral_X^inf psi e^{-2 pi i t x} dx
         #     = psi(X) e^{-2 pi i X t}/(2 pi i t) + (pi i t)^{-1} * g-tail.
@@ -404,7 +393,9 @@ def _tail(kind, X, t, side):
             boundary = -psi_closed(-X) * np.exp(denom * X) / denom
         parts_err = (_PSI_EDGE_ERR + 2.0 * gerr) / np.abs(denom)
         by_parts = parts_err < phase
-        val[moving] = np.where(by_parts, boundary + 2.0 * gval / denom, val[moving])
+        val[moving] = np.where(
+            by_parts, boundary + 2.0 * gval / denom, val[moving] + phase_val
+        )
         err[moving] = np.where(by_parts, parts_err, err[moving] + phase)
     return val, err
 

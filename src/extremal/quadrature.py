@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
+
+from .specfun import _expint_lentz, e1
 
 __all__ = [
     "QuadResult",
@@ -226,11 +227,12 @@ def integrate_adaptive(
 def expint_en(n, z):
     """E_n(z) for integer n >= 1 and complex z with Re z >= 0.
 
-    Hybrid evaluation: upward recurrence from E_1 = exp1 for |z| <= 10
-    (stable there), a modified Lentz continued fraction beyond.  Accuracy
-    is ~1e-13 relative over the ranges used by the tail channels.  ``n``
-    and ``z`` may be arrays; they broadcast against each other and are
-    evaluated elementwise.  Scalar ``n`` and ``z`` give a Python ``complex``.
+    Hybrid evaluation: upward recurrence from E_1 =
+    :func:`extremal.specfun.e1` for |z| <= 10 (stable there), a modified
+    Lentz continued fraction beyond.  Accuracy is ~1e-13 relative over the
+    ranges used by the tail channels.  ``n`` and ``z`` may be arrays; they
+    broadcast against each other and are evaluated elementwise.  Scalar
+    ``n`` and ``z`` give a Python ``complex``.
     """
     n_arr, z_arr = np.broadcast_arrays(np.asarray(n), np.asarray(z, dtype=complex))
     if np.any(n_arr < 1):
@@ -249,7 +251,7 @@ def expint_en(n, z):
     near = ~zero & (np.abs(flat) <= 10.0)
     if np.any(near):
         zn, nn = flat[near], orders[near]
-        e = exp1(zn)
+        e = e1(zn)
         ez = np.exp(-zn)
         for k in range(1, int(nn.max())):
             e = np.where(k < nn, (ez - zn * e) / k, e)
@@ -258,38 +260,6 @@ def expint_en(n, z):
     if np.any(far):
         out[far] = _expint_lentz(orders[far], flat[far])
     return complex(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
-
-
-def _expint_lentz(n, z):
-    """Modified Lentz on the even continued fraction
-    E_n(z) = exp(-z) / (z+n - 1*n/(z+n+2 - 2(n+1)/(z+n+4 - ...))),
-    each entry stopping at its own convergence step."""
-    tiny = 1e-300
-    h_out = np.empty(z.shape, dtype=complex)
-    idx = np.arange(z.size)
-    b = z + n
-    c = np.full(z.shape, 1.0 / tiny, dtype=complex)
-    d = 1.0 / b
-    h = d
-    for i in range(1, 401):
-        a = -i * (n - 1 + i)
-        b = b + 2.0
-        d = a * d + b
-        d[d == 0] = tiny
-        c = b + a / c
-        c[c == 0] = tiny
-        d = 1.0 / d
-        delta = c * d
-        h = h * delta
-        done = np.abs(delta - 1.0) < 1e-16
-        if np.any(done):
-            h_out[idx[done]] = h[done]
-            keep = ~done
-            idx, n, b, c, d, h = idx[keep], n[keep], b[keep], c[keep], d[keep], h[keep]
-            if idx.size == 0:
-                break
-    h_out[idx] = h
-    return h_out * np.exp(-z)
 
 
 def tail_channel(coeffs, T, tau):

@@ -4,6 +4,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -275,3 +279,31 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_commands_import_nothing(self, tmp_path):
+        # The package loads no scipy module, and once it is imported (with
+        # the Filon panels built) eval, verify and search --mode remark load
+        # no module at all: an import inside a command adds to its run time.
+        code = textwrap.dedent("""
+            import sys
+            import extremal
+            from extremal import cli
+            scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
+            assert not scipy, scipy
+            for kind in ("g", "psi", "psi_beurling"):
+                extremal.numeric_ft(kind, 0.0)
+            before = set(sys.modules)
+            for argv in (["eval", "--grid=-2:2:11"], ["verify", "--seed", "0"],
+                         ["search", "--mode", "remark", "--n", "4", "--trials", "3"]):
+                assert cli.main(argv + ["-o", sys.argv[1]]) == 0, argv
+                loaded = sorted(set(sys.modules) - before)
+                assert not loaded, (argv[0], loaded)
+        """)
+        src = os.path.dirname(os.path.dirname(hb.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=300, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr

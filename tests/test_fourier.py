@@ -216,6 +216,14 @@ class TestNumericFT:
         else:
             assert abs(value - psi_hat(t)) <= tol
 
+    def test_psi_small_frequencies_meet_tight_tol(self):
+        # The t = 0 tail route carries the first-order phase term, so the
+        # tightest tol holds down to t = 0 instead of being refused.
+        t = np.geomspace(1e-12, 1e-6, 61)
+        for ts in (t, -t):
+            value = numeric_ft("psi", ts, tol=1e-8)
+            assert np.all(np.abs(value - psi_hat(ts)) <= 1e-8)
+
     def test_beurling_deficit_integral(self):
         # The interpolating majorant has half the deficit of the monotone one.
         assert abs(numeric_ft("psi_beurling", 0.0) - 1.0) < 1e-10

@@ -55,6 +55,22 @@ B_TABLE = {
     0.1: 1.1657710086426265693,
 }
 
+
+def G_reference(x, mpmath):
+    """G(x) from mpmath's Si and Ci through the closed form of G_closed."""
+    x = mpmath.mpf(float(x))
+    x1 = x + 1
+    tp = 2 * mpmath.pi
+
+    def cin(z):
+        z = abs(z)
+        return z if z == 0 else mpmath.euler + mpmath.log(z) - mpmath.ci(z)
+
+    sinc2 = 1 if x1 == 0 else (mpmath.sin(mpmath.pi * x1) / (mpmath.pi * x1)) ** 2
+    return (mpmath.mpf(1) / 2 - (cin(tp * x) - cin(tp * x1)) / (2 * mpmath.pi**2)
+            - x1 * sinc2 + mpmath.si(tp * x1) / mpmath.pi)
+
+
 nonpole_floats = st.floats(-40.0, 40.0).filter(
     lambda u: min(abs(u), abs(u + 1.0)) > 1e-3
 )
@@ -140,6 +156,28 @@ class TestGClosedForm:
         # Absolute floor: far in the left tail the closed form cancels to
         # ~1e-16 absolute accuracy, which dominates the relative error.
         assert G_closed(x) == pytest.approx(expected, rel=2e-14, abs=2e-16)
+
+    def test_matches_mpmath_sweep(self):
+        # The bound G_closed documents, on a seeded sweep plus the points
+        # where the closed form cancels (x = -1, 0 and next to them).
+        mpmath = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(8)
+        x = np.concatenate([
+            rng.uniform(-3.0, 3.0, 400), rng.uniform(-100.0, 100.0, 400),
+            rng.uniform(-1e4, 1e4, 200), [-1.0, -0.5, 0.0, 1e-9, -1.0 + 1e-9],
+        ])
+        with mpmath.workdps(40):
+            ref = np.array([float(G_reference(v, mpmath)) for v in x])
+        assert np.max(np.abs(G_closed(x) - ref)) <= 1e-15
+
+    @pytest.mark.parametrize("X", [64.0, 128.0, 512.0, 4096.0])
+    def test_psi_edge_error_within_budget(self, X):
+        # The by-parts psi tail divides this rounding error by 2 pi |t|.
+        mpmath = pytest.importorskip("mpmath")
+        for x in (X, -X):
+            with mpmath.workdps(40):
+                ref = 2 * G_reference(x, mpmath) - 1 - mpmath.sign(x)
+            assert abs(psi_closed(x) - ref) <= majorants._PSI_EDGE_ERR
 
     def test_far_tails(self):
         assert abs(G_closed(-1e6)) < 1e-12

@@ -6,7 +6,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-from extremal import cli
+import pytest
+
+from extremal import cli, specfun
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,3 +55,13 @@ def test_sign_probe(tmp_path):
     reports = json.loads(out.read_text())
     assert len(reports) == 2
     assert all("min_value" in rep for rep in reports)
+
+
+def test_sici_tables_are_the_specfun_tables():
+    pytest.importorskip("mpmath")
+    proc = run_script("sici_tables.py")
+    assert proc.returncode == 0, proc.stderr
+    tables = {}
+    exec(proc.stdout, tables)
+    for name in ("_AUX_MID", "_AUX_FAR"):
+        assert tables[name] == getattr(specfun, name)

@@ -1,4 +1,4 @@
-"""Scalar special functions: normalized sinc, triangle, trigamma."""
+"""Scalar special functions: normalized sinc, triangle, trigamma, Si/Cin, E_1."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremal.specfun import sinc, triangle, trigamma
+from extremal.specfun import EULER_GAMMA, e1, si_cin, sinc, triangle, trigamma
 
 # mpmath polygamma(1, x) at 50 digits.
 TRIGAMMA_TABLE = {
@@ -122,3 +122,78 @@ class TestTrigamma:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             trigamma(bad)
+
+
+def sici_sweep():
+    """Seeded points on (0, 1e4], dense around the seams at 4 and 8."""
+    rng = np.random.default_rng(2023)
+    return np.concatenate([
+        rng.uniform(0.0, 4.5, 300), rng.uniform(3.5, 9.0, 300),
+        rng.uniform(8.0, 100.0, 200), rng.uniform(100.0, 1e4, 200),
+        [1e-300, 1e-9, 0.25, 4.0, np.nextafter(4.0, 5.0), 8.0, np.nextafter(8.0, 0.0)],
+    ])
+
+
+class TestSiCin:
+    def test_matches_mpmath_no_worse_than_scipy(self):
+        # Cin from scipy is gamma + log x - Ci, as the closed form of G used
+        # it before; on [0, 4] that difference cancels, so the power series
+        # must win there, and beyond 4 both end in the rounding of log x.
+        mpmath = pytest.importorskip("mpmath")
+        special = pytest.importorskip("scipy.special")
+        x = sici_sweep()
+        with mpmath.workdps(30):
+            ref_si = np.array([float(mpmath.si(v)) for v in x])
+            ref_cin = np.array([
+                float(mpmath.euler + mpmath.log(v) - mpmath.ci(v)) for v in x
+            ])
+        si, cin = si_cin(x)
+        scipy_si, scipy_ci = special.sici(x)
+        scipy_cin = EULER_GAMMA + np.log(x) - scipy_ci
+        for part in (x <= 4.0, x > 4.0):
+            for got, scipy_val, ref in ((si, scipy_si, ref_si), (cin, scipy_cin, ref_cin)):
+                err = np.max(np.abs(got[part] - ref[part]))
+                assert err <= np.max(np.abs(scipy_val[part] - ref[part]))
+        small = x <= 4.0
+        assert np.max(np.abs(si - ref_si)) <= 1e-15
+        assert np.max(np.abs(cin - ref_cin)[small]) <= 1e-15
+
+    def test_parity_and_origin(self):
+        assert si_cin(0.0) == (0.0, 0.0)
+        x = np.array([0.3, 3.99, 4.5, 7.2, 12.0, 900.0])
+        si, cin = si_cin(x)
+        neg_si, neg_cin = si_cin(-x)
+        np.testing.assert_array_equal(neg_si, -si)
+        np.testing.assert_array_equal(neg_cin, cin)
+        scalar = si_cin(4.5)
+        assert isinstance(scalar[0], float) and scalar == (si[2], cin[2])
+
+
+    def test_blocks_match_single_points(self):
+        # Arrays are evaluated in blocks; entries at the block seams and in
+        # a short last block equal the scalar evaluation.
+        x = np.linspace(-300.0, 300.0, 3 * 8192 + 3).reshape(3, -1)
+        si, cin = si_cin(x)
+        assert si.shape == cin.shape == x.shape
+        for i in (0, 8191, 8192, 16383, 16384, 24575, 24576, x.size - 1):
+            assert (si.flat[i], cin.flat[i]) == si_cin(x.flat[i])
+
+
+class TestE1:
+    @pytest.mark.parametrize("angle", [0.0, 0.25, 0.4, 0.5, -0.25, -0.5])
+    def test_matches_mpmath(self, angle):
+        # The series below |z| = 2 and the continued fraction above, on rays
+        # of the closed right half-plane.
+        mpmath = pytest.importorskip("mpmath")
+        r = np.concatenate([np.geomspace(1e-6, 1.0, 13), np.linspace(1.0, 10.0, 46)])
+        z = r * np.exp(1j * np.pi * angle)
+        got = e1(z)
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.e1(mpmath.mpc(v.real, v.imag))) for v in z])
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        assert e1(complex(z[20])) == got[20]
+
+    def test_domain(self):
+        for z in (0.0, -1.0, -0.5 + 1.0j):
+            with pytest.raises(ValueError):
+                e1(z)
