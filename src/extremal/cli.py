@@ -9,9 +9,13 @@ Subcommands:
 * ``search``  — randomized experiments (sharp-constant search or the
                 interpolating-majorant sign probe).
 
-Exit codes: 0 success, 1 verification failure, 2 usage/input error,
-3 numerical budget failure.  Reports are deterministic for a fixed seed
-(no timestamps), and CSV floats are written with round-trip precision.
+The parser is built once, at import, and each ``cmd_*`` reads the parsed
+namespace.  Argument errors print argparse's usage line to stderr.
+
+Exit codes: 0 success, 1 verification failure, 2 usage/input error (out
+of memory included), 3 numerical budget failure.  Reports are deterministic
+for a fixed seed (no timestamps), and CSV floats are written with
+round-trip precision.
 """
 
 from __future__ import annotations
@@ -19,11 +23,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-# argparse's gettext imports locale when the first parser is built; load it
-# with the module so that no command starts with an import.
-import locale  # noqa: F401
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import default_rng
@@ -44,125 +44,6 @@ _EVAL_TOL_RANGE = (1e-12, 1e-4)
 _CSV_BLOCK = 4096  # rows formatted per write
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation.  Grid steps >= 2 and per-command tolerance
-    ranges are enforced where the fields are consumed; everything needed to
-    reproduce a run (notably the seed) is carried here and echoed into the
-    reports."""
-
-    command: str
-    tolerance: float | None = None
-    grid: tuple[float, float, int] | None = None
-    seed: int = 0
-    output_format: str = "csv"
-    output_path: str | None = None
-    nodes_path: str | None = None
-    coeffs_path: str | None = None
-    user_constant: float | None = None
-    mode: str | None = None
-    n_nodes: int | None = None
-    trials: int | None = None
-
-    def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError("output format must be 'csv' or 'json'")
-        if self.grid is not None and self.grid[2] < 2:
-            raise ValueError("grid requires N >= 2 points")
-
-
-def _config_from_args(args):
-    command = args.command
-    if command == "eval":
-        return RunConfig(
-            command=command,
-            tolerance=float(args.tol),
-            grid=_parse_grid(args.grid),
-            output_format=args.format,
-            output_path=args.output,
-        )
-    if command == "verify":
-        return RunConfig(
-            command=command,
-            tolerance=float(args.tol),
-            seed=int(args.seed),
-            output_format="json",
-            output_path=args.output,
-        )
-    if command == "hilbert":
-        return RunConfig(
-            command=command,
-            tolerance=float(args.tol),
-            output_format="json",
-            output_path=args.output,
-            nodes_path=args.nodes,
-            coeffs_path=args.coeffs,
-            user_constant=args.constant,
-        )
-    return RunConfig(
-        command=command,
-        seed=int(args.seed),
-        output_format="json",
-        output_path=args.output,
-        mode=args.mode,
-        n_nodes=int(args.n),
-        trials=int(args.trials),
-    )
-
-
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="extremal",
-        description=(
-            "Extremal one-sided band-limited approximations of sgn and "
-            "sharp constants for weighted Hilbert-type bilinear forms."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_eval = sub.add_parser(
-        "eval", help="tabulate G, M, B and the deficit functions over a grid"
-    )
-    p_eval.add_argument(
-        "--grid", required=True, metavar="A:B:N",
-        help="N equally spaced points from A to B (N >= 2)",
-    )
-    p_eval.add_argument("--tol", type=float, default=1e-8)
-    p_eval.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_eval.add_argument("-o", "--output", default=None)
-
-    p_verify = sub.add_parser(
-        "verify", help="run the numerical identity suite (JSON report)"
-    )
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--tol", type=float, default=1e-8)
-    p_verify.add_argument("-o", "--output", default=None)
-
-    p_hilbert = sub.add_parser(
-        "hilbert", help="analyze a node system: separations, margins, C*"
-    )
-    p_hilbert.add_argument("--nodes", required=True, metavar="FILE")
-    p_hilbert.add_argument("--coeffs", default=None, metavar="FILE")
-    p_hilbert.add_argument("--constant", type=float, default=None)
-    p_hilbert.add_argument("--tol", type=float, default=1e-10)
-    p_hilbert.add_argument("-o", "--output", default=None)
-
-    p_search = sub.add_parser(
-        "search", help="randomized experiments over node systems"
-    )
-    p_search.add_argument(
-        "--mode", choices=("constant", "remark"), required=True
-    )
-    p_search.add_argument("--n", type=int, required=True)
-    p_search.add_argument("--trials", type=int, required=True)
-    p_search.add_argument("--seed", type=int, default=0)
-    p_search.add_argument("-o", "--output", default=None)
-
-    return parser
-
-
 @contextlib.contextmanager
 def _output(path):
     """The report stream: stdout, or the file at ``path``."""
@@ -173,37 +54,49 @@ def _output(path):
             yield fh
 
 
-def _emit(text, path):
-    with _output(path) as fh:
-        fh.write(text)
-
-
 def _emit_json(report, path):
-    _emit(json.dumps(report, indent=2) + "\n", path)
+    with _output(path) as fh:
+        fh.write(json.dumps(report, indent=2) + "\n")
+
+
+def _seed(text):
+    """``type=`` of ``--seed``: a non-negative integer."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"seed must be a non-negative integer, got {text!r}"
+        )
+    return seed
 
 
 # ---------------------------------------------------------------------------
 # eval
 
 def _parse_grid(text):
+    """``type=`` of ``--grid``: ``A:B:N`` with finite A < B and N >= 2."""
     parts = text.split(":")
     if len(parts) != 3:
-        raise ValueError(f"grid must be A:B:N, got {text!r}")
+        raise argparse.ArgumentTypeError(f"grid must be A:B:N, got {text!r}")
     try:
         a, b = float(parts[0]), float(parts[1])
         n = int(parts[2])
     except ValueError as exc:
-        raise ValueError(f"grid must be A:B:N with numeric fields: {exc}")
+        raise argparse.ArgumentTypeError(
+            f"grid must be A:B:N with numeric fields: {exc}"
+        )
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
-        raise ValueError("grid requires finite A < B")
+        raise argparse.ArgumentTypeError("grid requires finite A < B")
     if n < 2:
-        raise ValueError("grid requires N >= 2 points")
+        raise argparse.ArgumentTypeError("grid requires N >= 2 points")
     return a, b, n
 
 
-def cmd_eval(config):
-    a, b, n = config.grid
-    tol = config.tolerance
+def cmd_eval(args):
+    a, b, n = args.grid
+    tol = args.tol
     if not (_EVAL_TOL_RANGE[0] <= tol <= _EVAL_TOL_RANGE[1]):
         raise ValueError(
             f"tol must lie in [{_EVAL_TOL_RANGE[0]}, {_EVAL_TOL_RANGE[1]}]"
@@ -211,36 +104,30 @@ def cmd_eval(config):
     x = np.linspace(a, b, n)
     G = G_closed(x)
     M = 2.0 * G - 1.0
-    B = beurling_b(x)
-    psi = M - np.sign(x)
-    phi = psi_closed(-x)
-    achieved = 5e-14  # closed-form evaluation; see the majorant test suite
+    # One table feeds the CSV header, the CSV rows and the JSON columns.
+    columns = {
+        "x": x, "G": G, "M": M, "B": beurling_b(x),
+        "psi": M - np.sign(x), "phi": psi_closed(-x),
+    }
 
-    if config.output_format == "csv":
+    if args.format == "csv":
         # Formatted and written in row blocks: the whole table's text is
         # never held at once.
-        columns = (x, G, M, B, psi, phi)
-        with _output(config.output_path) as fh:
-            fh.write("x,G,M,B,psi,phi\n")
+        with _output(args.output) as fh:
+            fh.write(",".join(columns) + "\n")
             for start in range(0, n, _CSV_BLOCK):
-                rows = zip(*(c[start:start + _CSV_BLOCK].tolist() for c in columns))
+                rows = zip(*(c[start:start + _CSV_BLOCK].tolist()
+                             for c in columns.values()))
                 fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
     else:
         report = {
             "command": "eval",
             "grid": {"start": a, "stop": b, "steps": n},
             "tolerance_requested": tol,
-            "tolerance_achieved": achieved,
-            "columns": {
-                "x": [float(v) for v in x],
-                "G": [float(v) for v in G],
-                "M": [float(v) for v in M],
-                "B": [float(v) for v in B],
-                "psi": [float(v) for v in psi],
-                "phi": [float(v) for v in phi],
-            },
+            "tolerance_achieved": 5e-14,  # closed forms; see the majorant tests
+            "columns": {name: c.tolist() for name, c in columns.items()},
         }
-        _emit_json(report, config.output_path)
+        _emit_json(report, args.output)
     return 0
 
 
@@ -257,11 +144,11 @@ def _check(name, residual, limit):
     }
 
 
-def cmd_verify(config):
-    tol = config.tolerance
+def cmd_verify(args):
+    tol = args.tol
     if not 1e-10 <= tol <= 1e-4:
         raise ValueError("verify tol must lie in [1e-10, 1e-4]")
-    rng = default_rng(int(config.seed))
+    rng = default_rng(args.seed)
     checks = []
 
     targets = {"g": 1.0, "psi": 2.0, "G_minus_heaviside": 1.0, "H": 1.0}
@@ -350,31 +237,37 @@ def cmd_verify(config):
 
     report = {
         "command": "verify",
-        "seed": int(config.seed),
+        "seed": args.seed,
         "tol": tol,
         "checks": checks,
         "all_passed": all(c["passed"] for c in checks),
     }
-    _emit_json(report, config.output_path)
+    _emit_json(report, args.output)
     return 0 if report["all_passed"] else 1
 
 
 # ---------------------------------------------------------------------------
 # hilbert
 
-def _read_nodes(path):
-    values = []
+def _data_lines(path):
+    """``(line number, text)`` of each line of ``path`` that holds data once
+    a ``#`` comment is stripped."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            try:
-                values.append(float(text))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: expected one real number, got {text!r}"
-                )
+            if text:
+                yield lineno, text
+
+
+def _read_nodes(path):
+    values = []
+    for lineno, text in _data_lines(path):
+        try:
+            values.append(float(text))
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: expected one real number, got {text!r}"
+            )
     if len(values) < 2:
         raise ValueError(f"{path}: need at least 2 nodes")
     return np.asarray(values)
@@ -382,29 +275,23 @@ def _read_nodes(path):
 
 def _read_coeffs(path):
     values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            text = raw.split("#", 1)[0].strip()
-            if not text:
-                continue
-            parts = [p.strip() for p in text.split(",")]
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 're,im', got {text!r}"
-                )
-            try:
-                values.append(complex(float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 're,im' numbers, got {text!r}"
-                )
+    for lineno, text in _data_lines(path):
+        parts = [p.strip() for p in text.split(",")]
+        if len(parts) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 're,im', got {text!r}")
+        try:
+            values.append(complex(float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: expected 're,im' numbers, got {text!r}"
+            )
     return np.asarray(values, dtype=complex)
 
 
-def cmd_hilbert(config):
-    lam = _read_nodes(config.nodes_path)
+def cmd_hilbert(args):
+    lam = _read_nodes(args.nodes)
     ns = hb.compute_deltas(lam)
-    estimate = hb.sharp_constant(ns, tol=config.tolerance)
+    estimate = hb.sharp_constant(ns, tol=args.tol)
     report = {
         "command": "hilbert",
         "n_nodes": int(len(ns)),
@@ -419,8 +306,8 @@ def cmd_hilbert(config):
         },
     }
 
-    if config.coeffs_path is not None:
-        coeffs = _read_coeffs(config.coeffs_path)
+    if args.coeffs is not None:
+        coeffs = _read_coeffs(args.coeffs)
         phi = hb.bilinear_form(ns, coeffs)
         weighted = hb.weighted_norm(ns, coeffs)
         margins = {
@@ -428,73 +315,121 @@ def cmd_hilbert(config):
             "preissmann": hb.verify_inequality(ns, coeffs, hb.BOUND_PREISSMANN),
             "fourier_2pi": hb.verify_inequality(ns, coeffs, hb.BOUND_FOURIER),
         }
-        if config.user_constant is not None:
-            margins["user"] = hb.verify_inequality(
-                ns, coeffs, config.user_constant
-            )
+        if args.constant is not None:
+            margins["user"] = hb.verify_inequality(ns, coeffs, args.constant)
         report["bilinear_form"] = {"re": phi.real, "im": phi.imag}
         report["weighted_sum"] = weighted
         report["margins"] = margins
 
-    _emit_json(report, config.output_path)
+    _emit_json(report, args.output)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # search
 
-def cmd_search(config):
-    if config.mode == "constant":
-        report = hb.constant_search(config.n_nodes, config.trials, config.seed)
+def cmd_search(args):
+    if args.mode == "constant":
+        report = hb.constant_search(args.n, args.trials, args.seed)
     else:
-        report = hb.remark_experiment(config.n_nodes, config.trials, config.seed)
-    _emit_json(report, config.output_path)
+        report = hb.remark_experiment(args.n, args.trials, args.seed)
+    _emit_json(report, args.output)
     return 0
 
 
 # ---------------------------------------------------------------------------
 
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="extremal",
+        description=(
+            "Extremal one-sided band-limited approximations of sgn and "
+            "sharp constants for weighted Hilbert-type bilinear forms."
+        ),
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_eval = sub.add_parser(
+        "eval", help="tabulate G, M, B and the deficit functions over a grid"
+    )
+    p_eval.add_argument(
+        "--grid", required=True, type=_parse_grid, metavar="A:B:N",
+        help="N equally spaced points from A to B (N >= 2)",
+    )
+    p_eval.add_argument("--tol", type=float, default=1e-8)
+    p_eval.add_argument("--format", choices=("csv", "json"), default="csv")
+    p_eval.add_argument("-o", "--output", default=None)
+    p_eval.set_defaults(run=cmd_eval)
+
+    p_verify = sub.add_parser(
+        "verify", help="run the numerical identity suite (JSON report)"
+    )
+    p_verify.add_argument("--seed", type=_seed, default=0)
+    p_verify.add_argument("--tol", type=float, default=1e-8)
+    p_verify.add_argument("-o", "--output", default=None)
+    p_verify.set_defaults(run=cmd_verify)
+
+    p_hilbert = sub.add_parser(
+        "hilbert", help="analyze a node system: separations, margins, C*"
+    )
+    p_hilbert.add_argument("--nodes", required=True, metavar="FILE")
+    p_hilbert.add_argument("--coeffs", default=None, metavar="FILE")
+    p_hilbert.add_argument("--constant", type=float, default=None)
+    p_hilbert.add_argument("--tol", type=float, default=1e-10)
+    p_hilbert.add_argument("-o", "--output", default=None)
+    p_hilbert.set_defaults(run=cmd_hilbert)
+
+    p_search = sub.add_parser(
+        "search", help="randomized experiments over node systems"
+    )
+    p_search.add_argument(
+        "--mode", choices=("constant", "remark"), required=True
+    )
+    p_search.add_argument("--n", type=int, required=True)
+    p_search.add_argument("--trials", type=int, required=True)
+    p_search.add_argument("--seed", type=_seed, default=0)
+    p_search.add_argument("-o", "--output", default=None)
+    p_search.set_defaults(run=cmd_search)
+
+    return parser
+
+
+# Built once per process; building it also loads the modules argparse
+# imports lazily (locale, shutil), so no command starts with an import.
+_PARSER = _build_parser()
+
+
 def _merge_grid_value(argv):
     """Join ``--grid -5:5:11`` into ``--grid=-5:5:11`` so a leading minus on
     the grid start is not mistaken for an option flag."""
     merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--grid" and i + 1 < len(argv):
-            merged.append(f"--grid={argv[i + 1]}")
-            skip = True
-        else:
-            merged.append(tok)
+    tokens = iter(argv)
+    for tok in tokens:
+        if tok == "--grid":
+            tok = "--grid=" + next(tokens, "")
+        merged.append(tok)
     return merged
 
 
 def main(argv=None):
-    parser = build_parser()
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(_merge_grid_value(list(argv)))
+        args = _PARSER.parse_args(_merge_grid_value(argv))
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
 
-    dispatch = {
-        "eval": cmd_eval,
-        "verify": cmd_verify,
-        "hilbert": cmd_hilbert,
-        "search": cmd_search,
-    }
     try:
-        config = _config_from_args(args)
-        return dispatch[config.command](config)
+        return args.run(args)
     except (BudgetExceededError, ToleranceNotMetError,
             hb.PowerIterationError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -11,7 +11,8 @@ kernel by Chebyshev polynomials on fixed panels of width 1/4 over [-T, T]
 with T = :data:`extremal.majorants.TAIL_CUTOFF` = 64, integrate each
 polynomial against exp(-2 pi i x t) exactly via monomial moments, and add
 the closed-form channel tails from :mod:`extremal.majorants` beyond T.  The
-panels are built once per kind; frequencies go in fixed-size blocks.
+panels (5,632 kernel evaluations) are built on each call; frequencies go
+in fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -176,14 +177,10 @@ _CENTERS = 0.5 * (_EDGES[:-1] + _EDGES[1:])
 # Frequencies per block: bounds the working set at ~3 MB for any input size.
 _FT_BLOCK = 128
 
-_panel_cache: dict = {}
-
 
 def _panel_data(kind):
-    """Cached per-panel monomial coefficients and interpolation-error bound."""
-    cached = _panel_cache.get(kind)
-    if cached is not None:
-        return cached
+    """Per-panel monomial coefficients, the interpolation-error bound and
+    the number of kernel evaluations."""
     f = _FT_KERNELS[kind]
     half = 0.5 * _FT_PANEL
     xs = _CENTERS[:, None] + half * _CHEB_NODES[None, :]
@@ -195,8 +192,7 @@ def _panel_data(kind):
     est = 1.5 * _FT_PANEL * float(
         np.sum(np.abs(cheb_coeffs[:, -2]) + np.abs(cheb_coeffs[:, -1]))
     )
-    _panel_cache[kind] = (mono, est, xs.size)
-    return _panel_cache[kind]
+    return mono, est, xs.size
 
 
 def _moments(omega):
@@ -237,7 +233,7 @@ def _moments(omega):
 
 
 def _filon_central(kind, t):
-    """integral_{-T}^{T} kernel(x) exp(-2 pi i x t) dx via cached panels,
+    """integral_{-T}^{T} kernel(x) exp(-2 pi i x t) dx via the Filon panels,
     _FT_BLOCK frequencies at a time.
 
     Returns ``(value, err_estimate, evaluations)``; ``value`` has the shape
@@ -282,7 +278,7 @@ def numeric_ft(function_kind, t, tol=1e-7):
     if not np.all(np.isfinite(arr)):
         raise ValueError("t must be finite")
     tol = float(tol)
-    if tol < 1e-8:
+    if not tol >= 1e-8:
         raise ValueError("tol must be >= 1e-8")
 
     central, est, n_evals = _filon_central(function_kind, arr)

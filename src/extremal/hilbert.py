@@ -267,7 +267,7 @@ def sharp_constant(nodes, tol=1e-10, seed=0, max_iterations=100_000):
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     tol = float(tol)
-    if tol < 1e-12:
+    if not tol >= 1e-12:
         raise ValueError("tol must be >= 1e-12")
     n = len(nodes)
     apply_A = _antisym_apply(nodes)

@@ -23,7 +23,7 @@ __all__ = ["integrate_with_tails", "poisson_check", "half_line_moments"]
 
 def _checked_tol(tol):
     tol = float(tol)
-    if tol < 1e-10:
+    if not tol >= 1e-10:
         raise ValueError("tol must be >= 1e-10")
     return tol
 

@@ -135,7 +135,7 @@ def integrate_adaptive(
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_adaptive requires finite endpoints")
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
     if b == a:
         return QuadResult(0.0, 0.0, 0)

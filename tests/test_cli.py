@@ -1,5 +1,6 @@
 """Command-line interface: formats, round-trips, determinism, exit codes."""
 
+import argparse
 import csv
 import io
 import json
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 import extremal.hilbert as hb
-from extremal.cli import RunConfig, main
+import extremal.cli as cli
+from extremal.cli import main
 from extremal.majorants import G_closed, M_closed, beurling_b
 
 
@@ -95,6 +97,22 @@ class TestEval:
     def test_bad_tol_exits_2(self, capsys):
         code, _, _ = run(capsys, "eval", "--grid", "0:1:2", "--tol", "1e-15")
         assert code == 2
+
+    def test_bad_format_exits_2(self, capsys):
+        code, _, err = run(capsys, "eval", "--grid", "0:1:2", "--format", "xml")
+        assert code == 2
+        assert "format" in err
+
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+        # Stands in for a grid too large to allocate; the grid itself is
+        # small, so nothing large is requested.
+        def exhausted(x):
+            raise MemoryError("Unable to allocate 745. GiB")
+
+        monkeypatch.setattr(cli, "G_closed", exhausted)
+        code, _, err = run(capsys, "eval", "--grid", "0:1:11")
+        assert code == 2
+        assert err.startswith("error:") and "745" in err
 
 
 class TestVerify:
@@ -200,6 +218,12 @@ class TestHilbert:
         assert code == 3
         assert "no convergence" in err
 
+    def test_nan_tol_exits_2(self, tmp_path, capsys):
+        nodes = self.write_nodes(tmp_path, "0.0\n1.0\n")
+        code, _, err = run(capsys, "hilbert", "--nodes", nodes, "--tol", "nan")
+        assert code == 2
+        assert "tol" in err
+
 
 class TestSearch:
     def test_remark_deterministic(self, capsys):
@@ -246,30 +270,6 @@ class TestSearch:
         assert rep["trials"] == 2
 
 
-class TestRunConfig:
-    def test_frozen(self):
-        config = RunConfig(command="eval", grid=(0.0, 1.0, 5))
-        with pytest.raises(AttributeError):
-            config.seed = 7
-
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            RunConfig(command="verify", seed=-1)
-
-    def test_bad_format_rejected(self):
-        with pytest.raises(ValueError, match="format"):
-            RunConfig(command="eval", output_format="xml")
-
-    def test_single_point_grid_rejected(self):
-        with pytest.raises(ValueError, match="N >= 2"):
-            RunConfig(command="eval", grid=(0.0, 1.0, 1))
-
-    def test_negative_seed_on_command_line_exit_2(self, capsys):
-        code, _, err = run(capsys, "verify", "--seed", "-3")
-        assert code == 2
-        assert "seed" in err
-
-
 class TestTopLevel:
     def test_no_command_exit_2(self, capsys):
         assert main([]) == 2
@@ -279,6 +279,24 @@ class TestTopLevel:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    @pytest.mark.parametrize("command", ["verify", "search"])
+    def test_negative_seed_exits_2(self, command, capsys):
+        argv = [command, "--seed", "-3"]
+        if command == "search":
+            argv += ["--mode", "remark", "--n", "3", "--trials", "2"]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "seed" in err
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        def no_new_parser(*args, **kwargs):
+            raise AssertionError("main built a parser")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", no_new_parser)
+        code, out, _ = run(capsys, "eval", "--grid", "0:1:2")
+        assert code == 0
+        assert out.startswith("x,G,M,B,psi,phi")
 
     def test_commands_import_nothing(self, tmp_path):
         # The package loads no scipy module, and once it is imported (with

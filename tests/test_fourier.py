@@ -248,6 +248,8 @@ class TestNumericFT:
         with pytest.raises(ValueError):
             numeric_ft("g", 0.0, tol=1e-9)
         with pytest.raises(ValueError):
+            numeric_ft("psi", 1e-8, tol=math.nan)
+        with pytest.raises(ValueError):
             numeric_ft("g", math.inf)
 
     def test_H_transform_internal(self):

@@ -306,6 +306,8 @@ class TestSharpConstant:
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             sharp_constant(compute_deltas([0.0, 1.0]), tol=1e-13)
+        with pytest.raises(ValueError):
+            sharp_constant(compute_deltas([0.0, 1.0]), tol=math.nan)
 
     def test_max_iteration_error(self):
         ns = compute_deltas(np.arange(1.0, 65.0))

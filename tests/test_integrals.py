@@ -43,6 +43,10 @@ class TestIntegrateWithTails:
     def test_tol_floor(self):
         with pytest.raises(ValueError):
             integrate_with_tails("g", tol=1e-11)
+        with pytest.raises(ValueError):
+            integrate_with_tails("g", tol=math.nan)
+        with pytest.raises(ValueError):
+            half_line_moments(tol=math.nan)
 
     def test_budget_failure_reported(self):
         with pytest.raises(ToleranceNotMetError) as info:

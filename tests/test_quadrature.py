@@ -87,6 +87,11 @@ class TestIntegrateAdaptive:
         rev = integrate_adaptive(lambda x: x**2, 2.0, 0.0, 1e-10)
         assert rev.value == pytest.approx(-fwd.value, rel=1e-14)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan])
+    def test_tol_validation(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            integrate_adaptive(lambda x: x, 0.0, 1.0, tol)
+
     def test_nonfinite_integrand_rejected(self):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             integrate_adaptive(lambda x: np.log(x), -1.0, 1.0, 1e-8)
