@@ -102,30 +102,34 @@ def cmd_eval(args):
             f"tol must lie in [{_EVAL_TOL_RANGE[0]}, {_EVAL_TOL_RANGE[1]}]"
         )
     x = np.linspace(a, b, n)
-    G = G_closed(x)
-    M = 2.0 * G - 1.0
-    # One table feeds the CSV header, the CSV rows and the JSON columns.
-    columns = {
-        "x": x, "G": G, "M": M, "B": beurling_b(x),
-        "psi": M - np.sign(x), "phi": psi_closed(-x),
-    }
+
+    def table(xs):
+        # One table feeds the CSV header, the CSV rows and the JSON columns.
+        G = G_closed(xs)
+        M = 2.0 * G - 1.0
+        return {
+            "x": xs, "G": G, "M": M, "B": beurling_b(xs),
+            "psi": M - np.sign(xs), "phi": psi_closed(-xs),
+        }
 
     if args.format == "csv":
-        # Formatted and written in row blocks: the whole table's text is
-        # never held at once.
+        # The closed forms are elementwise, so each row block is evaluated,
+        # formatted and written on its own: memory holds the grid and one
+        # block, whatever the grid size.
         with _output(args.output) as fh:
-            fh.write(",".join(columns) + "\n")
             for start in range(0, n, _CSV_BLOCK):
-                rows = zip(*(c[start:start + _CSV_BLOCK].tolist()
-                             for c in columns.values()))
-                fh.write("".join(",".join(map(repr, row)) + "\n" for row in rows))
+                columns = table(x[start:start + _CSV_BLOCK])
+                if not start:
+                    fh.write(",".join(columns) + "\n")
+                texts = [map(repr, c.tolist()) for c in columns.values()]
+                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
     else:
         report = {
             "command": "eval",
             "grid": {"start": a, "stop": b, "steps": n},
             "tolerance_requested": tol,
             "tolerance_achieved": 5e-14,  # closed forms; see the majorant tests
-            "columns": {name: c.tolist() for name, c in columns.items()},
+            "columns": {name: c.tolist() for name, c in table(x).items()},
         }
         _emit_json(report, args.output)
     return 0

@@ -54,9 +54,13 @@ def sinc(x):
     num = sign * np.sin(np.pi * r)
     with np.errstate(divide="ignore", invalid="ignore"):
         direct = num / (np.pi * arr)
-    z2 = (np.pi * arr) ** 2
+    absx = np.abs(arr)
+    # The polynomial is evaluated everywhere and kept only below the cut;
+    # clamping its argument there leaves those bits alone and keeps the
+    # discarded values from overflowing for huge |x|.
+    z2 = (np.pi * np.minimum(absx, _SINC_TAYLOR_CUT)) ** 2
     taylor = 1.0 - (z2 / 6.0) * (1.0 - (z2 / 20.0) * (1.0 - z2 / 42.0))
-    out = np.where(np.abs(arr) < _SINC_TAYLOR_CUT, taylor, direct)
+    out = np.where(absx < _SINC_TAYLOR_CUT, taylor, direct)
     return float(out) if scalar else out
 
 

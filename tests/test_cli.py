@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,16 +77,42 @@ class TestEval:
         assert code == 0
         assert target.read_text().startswith("x,G,M,B,psi,phi")
 
-    def test_csv_spanning_several_row_blocks(self, capsys):
-        # 10,001 rows cross two block boundaries of the streamed writer; the
-        # text must equal the whole table formatted at once.
-        _, out, _ = run(capsys, "eval", "--grid", "-5:5:10001")
-        _, js, _ = run(capsys, "eval", "--grid", "-5:5:10001", "--format", "json")
+    @pytest.mark.parametrize(
+        "n",
+        [cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1,
+         2 * cli._CSV_BLOCK + 1],
+    )
+    def test_csv_spanning_several_row_blocks(self, n, capsys):
+        # The CSV is evaluated and written one row block at a time, the JSON
+        # from the whole grid at once; on either side of a block boundary
+        # the two must give the same table, byte for byte.
+        _, out, _ = run(capsys, "eval", f"--grid=-5:5:{n}")
+        _, js, _ = run(capsys, "eval", f"--grid=-5:5:{n}", "--format", "json")
         cols = json.loads(js)["columns"]
         names = ["x", "G", "M", "B", "psi", "phi"]
         rows = zip(*(cols[name] for name in names))
         expected = [",".join(names)] + [",".join(repr(v) for v in row) for row in rows]
         assert out == "\n".join(expected) + "\n"
+
+    @pytest.mark.parametrize("n", [100_001, 300_001])
+    def test_csv_memory_is_bounded(self, n, tmp_path):
+        # CSV output holds the grid (8 bytes a point) and one row block, so
+        # beyond the grid the peak does not grow with N.
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["eval", f"--grid=-50:50:{n}", "-o", str(tmp_path / "t.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak - 8 * n < 4_000_000
+
+    def test_huge_grid_is_quiet(self, capsys):
+        # No overflow warning from the closed forms far from the origin.
+        code, out, err = run(capsys, "eval", "--grid", "0:1e300:11")
+        assert code == 0 and err == ""
+        last = out.strip().splitlines()[-1].split(",")
+        assert [float(v) for v in last] == [1e300, 1.0, 1.0, 1.0, 0.0, 0.0]
 
     @pytest.mark.parametrize(
         "grid", ["5:1:10", "1:1:5", "0:1:1", "abc", "1:2", "1:2:3:4", "nan:1:5"]

@@ -2,6 +2,7 @@
 quadrature evaluation, and deficit functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,14 @@ class TestGClosedForm:
     def test_far_tails(self):
         assert abs(G_closed(-1e6)) < 1e-12
         assert abs(G_closed(1e6) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("x", [1e60, -1e60, 1e200, -1e300])
+    def test_huge_arguments_are_quiet(self, x):
+        # No overflow warning from the discarded branches; G is the step.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert G_closed(x) == (1.0 if x > 0 else 0.0)
+            assert beurling_b(x) == math.copysign(1.0, x)
 
     def test_vectorized(self):
         xs = np.array(sorted(G_TABLE))

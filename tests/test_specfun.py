@@ -1,6 +1,7 @@
 """Scalar special functions: normalized sinc, triangle, trigamma, Si/Cin, E_1."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,16 @@ class TestSinc:
         # Argument reduction keeps full precision far from the origin.
         x = 1e6 + 0.25
         assert sinc(x) == pytest.approx(math.sin(math.pi * x) / (math.pi * x), rel=1e-13)
+
+    @pytest.mark.parametrize("x", [1e60, -1e60, 1e200, -1e300])
+    def test_huge_argument_is_quiet(self, x):
+        # The discarded Taylor branch must not overflow far from the origin.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sinc(x) == 0.0
+            huge, small = sinc(np.array([x, 5e-5]))
+        assert huge == 0.0
+        assert small == pytest.approx(np.sinc(5e-5), abs=1e-15)
 
     @given(st.floats(-50, 50).filter(lambda x: abs(x - round(x)) > 1e-3))
     def test_property_matches_direct_formula(self, x):
