@@ -14,8 +14,9 @@ namespace.  Argument errors print argparse's usage line to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error (out
 of memory included), 3 numerical budget failure.  Reports are deterministic
-for a fixed seed (no timestamps), and CSV floats are written with
-round-trip precision.
+for a fixed seed (no timestamps).  CSV floats are the shortest text that
+reads back to the same double, byte for byte Python's ``repr``, formatted
+in bulk by :mod:`extremal._float_text`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from numpy.random import default_rng
 
 from . import hilbert as hb
 from . import integrals
+from ._float_text import csv_rows
 from .fourier import band_limit_check, g_hat, numeric_ft, psi_hat
 from .majorants import (
     G_closed,
@@ -41,7 +43,7 @@ from .majorants import (
 from .quadrature import BudgetExceededError, ToleranceNotMetError
 
 _EVAL_TOL_RANGE = (1e-12, 1e-4)
-_CSV_BLOCK = 4096  # rows formatted per write
+_CSV_BLOCK = 4096  # rows evaluated at a time (formatted in smaller blocks)
 
 
 @contextlib.contextmanager
@@ -121,8 +123,7 @@ def cmd_eval(args):
                 columns = table(x[start:start + _CSV_BLOCK])
                 if not start:
                     fh.write(",".join(columns) + "\n")
-                texts = [map(repr, c.tolist()) for c in columns.values()]
-                fh.write("\n".join(map(",".join, zip(*texts))) + "\n")
+                fh.writelines(csv_rows(columns.values()))
     else:
         report = {
             "command": "eval",

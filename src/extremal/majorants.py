@@ -156,7 +156,9 @@ def G_closed(x):
     """
     arr, scalar = _as_array(x)
     x1 = arr + 1.0
-    si, cin = si_cin((2.0 * np.pi) * np.stack([arr, x1]))
+    # G is at its limits 0 and 1 long before |x| = 1e300; capping there
+    # keeps 2 pi x finite up to the largest double.
+    si, cin = si_cin((2.0 * np.pi) * np.clip(np.stack([arr, x1]), -1e300, 1e300))
     out = (
         0.5
         - (cin[0] - cin[1]) / (2.0 * np.pi**2)

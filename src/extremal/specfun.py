@@ -52,7 +52,9 @@ def sinc(x):
     r = arr - n
     sign = 1.0 - 2.0 * np.mod(n, 2.0)  # (-1)**n for float n
     num = sign * np.sin(np.pi * r)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # pi x overflows for |x| > 5.7e307, where x is an integer: num is 0
+    # there and the quotient 0 either way.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         direct = num / (np.pi * arr)
     absx = np.abs(arr)
     # The polynomial is evaluated everywhere and kept only below the cut;

@@ -114,6 +114,12 @@ class TestEval:
         last = out.strip().splitlines()[-1].split(",")
         assert [float(v) for v in last] == [1e300, 1.0, 1.0, 1.0, 0.0, 0.0]
 
+    def test_grid_to_the_largest_doubles_is_quiet(self, capsys):
+        # 2 pi x overflows past 2.9e307; the closed forms are at their limits.
+        code, out, err = run(capsys, "eval", "--grid", "0:1.7e308:3")
+        assert code == 0 and err == ""
+        assert out.strip().splitlines()[-1] == "1.7e+308,1.0,1.0,1.0,0.0,0.0"
+
     @pytest.mark.parametrize(
         "grid", ["5:1:10", "1:1:5", "0:1:1", "abc", "1:2", "1:2:3:4", "nan:1:5"]
     )

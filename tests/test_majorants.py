@@ -192,6 +192,15 @@ class TestGClosedForm:
             assert G_closed(x) == (1.0 if x > 0 else 0.0)
             assert beurling_b(x) == math.copysign(1.0, x)
 
+    def test_largest_arguments_are_quiet(self):
+        # 2 pi x overflows past 2.9e307; G is the step there.
+        xs = np.array([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert G_closed(1e308) == 1.0 and G_closed(-1e308) == 0.0
+            assert list(G_closed(xs)) == [1.0, 0.0, 1.0, 0.0]
+            assert list(psi_closed(xs)) == [0.0, 0.0, 0.0, 0.0]
+
     def test_vectorized(self):
         xs = np.array(sorted(G_TABLE))
         np.testing.assert_allclose(

@@ -65,3 +65,9 @@ def test_sici_tables_are_the_specfun_tables():
     exec(proc.stdout, tables)
     for name in ("_AUX_MID", "_AUX_FAR"):
         assert tables[name] == getattr(specfun, name)
+
+
+def test_check_float_text():
+    proc = run_script("check_float_text.py", "--count", 20_000, "--seed", 3)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("20000 values, seed 3: 0 mismatches")

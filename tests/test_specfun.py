@@ -62,6 +62,14 @@ class TestSinc:
         assert huge == 0.0
         assert small == pytest.approx(np.sinc(5e-5), abs=1e-15)
 
+    def test_largest_arguments_are_quiet(self):
+        # pi x overflows past 5.7e307, where every double is an integer.
+        xs = np.array([1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sinc(1e308) == 0.0 and sinc(-1e308) == 0.0
+            assert list(sinc(xs)) == [0.0, 0.0, 0.0, 0.0]
+
     @given(st.floats(-50, 50).filter(lambda x: abs(x - round(x)) > 1e-3))
     def test_property_matches_direct_formula(self, x):
         assert sinc(x) == pytest.approx(math.sin(math.pi * x) / (math.pi * x), rel=1e-12, abs=1e-14)
