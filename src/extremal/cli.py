@@ -91,6 +91,8 @@ def _parse_grid(text):
         )
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise argparse.ArgumentTypeError("grid requires finite A < B")
+    if not np.isfinite(b - a):
+        raise argparse.ArgumentTypeError("grid span B - A overflows")
     if n < 2:
         raise argparse.ArgumentTypeError("grid requires N >= 2 points")
     return a, b, n

@@ -10,8 +10,9 @@ those closed forms, is a Filon scheme: interpolate the (non-oscillatory)
 kernel by Chebyshev polynomials on fixed panels of width 1/4 over [-T, T]
 with T = :data:`extremal.majorants.TAIL_CUTOFF` = 64, integrate each
 polynomial against exp(-2 pi i x t) exactly via monomial moments, and add
-the closed-form channel tails from :mod:`extremal.majorants` beyond T.  The
-panels (5,632 kernel evaluations) are built on each call; frequencies go
+the closed-form channel tails from :mod:`extremal.majorants` beyond T,
+which come from inverse-power series alone, for every kind and frequency.
+The panels (5,632 kernel evaluations) are built on each call; frequencies go
 in fixed-size blocks.
 """
 
@@ -265,9 +266,8 @@ def numeric_ft(function_kind, t, tol=1e-7):
     (returns a complex array of the same shape); every entry must be
     finite.  Raises :class:`extremal.quadrature.BudgetExceededError` if the
     fixed scheme cannot certify ``tol`` at some frequency.  The scheme's
-    estimate is ~1e-10, except for psi near t = 0, where the tail bound
-    peaks at ~3e-9 around |t| = 1.1e-7, so every admissible ``tol`` is
-    met.
+    estimate is 2e-11 to 1.2e-10, nearly all of it Filon interpolation (the
+    tails add below 1e-15), so every admissible ``tol`` is met.
     """
     if function_kind not in _PUBLIC_FT_KINDS:
         raise ValueError(

@@ -8,9 +8,11 @@ Core objects:
 * the monotone majorant ``M = 2G - 1``, the interpolating majorant ``B``
   built from trigamma, the minorant ``-M(-x)``, and the deficit functions
   ``psi = M - sgn`` and ``phi(x) = psi(-x)``,
-* closed-form tail machinery: every kernel here decays like
-  ``(1 - cos 2 pi x) * (inverse-power envelope)``, so integrals and Fourier
-  transforms of tails reduce to :func:`extremal.quadrature.cosine_tail`,
+* closed-form tail machinery: beyond the window every kind here is
+  ``P(x) + Re(exp(2 pi i x) A(x))`` with inverse-power series P and A
+  (the kernels are ``(1 - cos 2 pi x) * envelope``, psi adds its
+  integration by parts), so integrals and Fourier transforms of tails
+  reduce to :func:`extremal.quadrature.modulated_tail`,
 * :func:`line_integral`, the one routine that integrates g, H, psi or
   ``G - x_+^0`` over any interval: adaptive quadrature on the window
   ``[-TAIL_CUTOFF, TAIL_CUTOFF]`` plus closed-form tails beyond it, with a
@@ -35,9 +37,8 @@ from .quadrature import (
     BudgetExceededError,
     QuadResult,
     ToleranceNotMetError,
-    cosine_tail,
     integrate_adaptive,
-    tail_channel,
+    modulated_tail,
 )
 from .specfun import _as_array, si_cin, sinc, trigamma
 
@@ -250,10 +251,11 @@ def psi_beurling_closed(x):
 
 
 # ---------------------------------------------------------------------------
-# Tail envelopes.  For x ≥ X (X well above 1) each kernel equals
-# (1 - cos 2 pi x) * (series in 1/x) * prefactor, and similarly at -x for the
-# left tail; the series below are in the basis x^{-(j+2)}, exactly as
-# consumed by quadrature.cosine_tail.
+# Tail series.  For x >= X (X well above 1) each kind is
+# [P(x) + Re(e^{2 pi i x} A(x))] / divisor, and likewise at -x for the left
+# tail, with P and A series in the basis x^{-(j+2)}, exactly as consumed by
+# quadrature.modulated_tail.  The kernels are (1 - cos 2 pi x) * envelope,
+# that is P = envelope and A = -envelope.
 
 _J_POLY = 14
 
@@ -274,20 +276,39 @@ _R_RIGHT = (0.5, -1.0 / 6.0, 0.0, 1.0 / 30.0, 0.0, -1.0 / 42.0,
 _S_LEFT = (0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0,
            0.0, -1.0 / 30.0, 0.0, 5.0 / 66.0)
 
-TAIL_KINDS = ("g", "H", "psi", "G_minus_heaviside", "psi_beurling")
+# psi on x >= X is pi^-2 integral_x^inf (1 - cos 2 pi u) rho(u) du with
+# rho = _RHO_RIGHT (on the left, psi(-x) with rho = _RHO_LEFT).  The
+# term-by-term integral of rho gives P_j = rho_{j+1} / (j+2).  Integrating
+# integral_x^inf e^{2 pi i u} u^{-k} du by parts M times gives
+# -e^{2 pi i x} sum_{m < M} (k)_m (2 pi i)^{-(m+1)} x^{-(k+m)} plus a
+# remainder of modulus at most (k)_M (2 pi)^-M x^{1-k-M} / (k+M-1), so
+# A_{j+m} = rho_j (k)_m (2 pi i)^{-(m+1)} with k = j + 2.  Each term is
+# taken to the last power of the basis, k + M = _J_POLY + 2.
+
+def _psi_series(rho):
+    P = tuple(rho[j + 1] / (j + 2) for j in range(len(rho) - 1))
+    A = np.zeros(len(rho), dtype=complex)
+    for j, r in enumerate(rho):
+        term = r / (2j * math.pi)
+        for i in range(j, len(rho)):
+            A[i] += term
+            term *= (i + 2) / (2j * math.pi)
+    return P, A
+
+
+def _cosine(envelope):
+    P = np.asarray(envelope)
+    return P, -P
+
 
 # The one window [-X, X] of every quadrature, Filon sum and tail split.
 # Beyond it the closed-form tails are exact up to series truncation:
-# 45 * 64^-15 = 3.6e-26 for the polynomial envelopes and
-# 0.26 * 64^-12 = 5.5e-23 for the Bernoulli series of B, both far below
-# the 2e-13-relative E_n accuracy and the 1e-10 tolerance floor, so a wider
-# window only adds integrand evaluations.
+# 45 * 64^-15 = 3.6e-26 for the polynomial envelopes,
+# 0.26 * 64^-12 = 5.5e-23 for the Bernoulli series of B and
+# 45 * 64^-14 + 1e-24 = 3.3e-24 for psi, all far below the 2e-13-relative
+# E_n budget and the 1e-10 tolerance floor, so a wider window only adds
+# integrand evaluations.
 TAIL_CUTOFF = 64.0
-
-# Absolute rounding error of psi_closed(+-X) for X >= TAIL_CUTOFF.
-# tests/test_majorants.py checks it against mpmath at X = +-64, +-128, +-512
-# and +-4096, where the error is at most 3.1e-16.
-_PSI_EDGE_ERR = 1e-15
 
 
 def _poly_trunc(X):
@@ -300,21 +321,48 @@ def _bernoulli_trunc(X):
     return 0.26 * X ** (-12)
 
 
+def _psi_trunc(X):
+    # The rho remainder integrated twice, plus the by-parts remainders
+    # integrated over x >= X (|rho_j| = j on both sides).
+    K = _J_POLY + 2
+    parts = math.fsum(
+        abs(r) * math.prod(range(j + 2, K)) * (2.0 * math.pi) ** (j + 2 - K)
+        for j, r in enumerate(_RHO_RIGHT)
+    )
+    return X * _poly_trunc(X) + parts * X ** (2 - K) / ((K - 1) * (K - 2))
+
+
+_PSI_RIGHT = _psi_series(_RHO_RIGHT)
+_PSI_LEFT = _psi_series(_RHO_LEFT)
+
+# kind: ((P, A) right, (P, A) left, divisor, truncation bound at X); g is
+# -(1 - cos 2 pi x) rho / (2 pi^2) on the right and +(...) on the left.
+_TAILS = {
+    "g": (_cosine(-np.array(_RHO_RIGHT)), _cosine(_RHO_LEFT), 2.0 * np.pi**2,
+          _poly_trunc),
+    "H": (_cosine(_Q_RIGHT), _cosine(_Q_LEFT), 2.0 * np.pi**2, _poly_trunc),
+    "psi": (_PSI_RIGHT, _PSI_LEFT, np.pi**2, _psi_trunc),
+    "G_minus_heaviside": (_PSI_RIGHT, _PSI_LEFT, 2.0 * np.pi**2, _psi_trunc),
+    "psi_beurling": (_cosine(_R_RIGHT), _cosine(_S_LEFT), np.pi**2,
+                     _bernoulli_trunc),
+}
+
+TAIL_KINDS = tuple(_TAILS)
+
+
 def _series_scale(coeffs, X):
     return math.fsum(abs(c) * X ** (-(j + 1)) for j, c in enumerate(coeffs))
-
-
-def _cosine_tail_err(coeffs, X, bernoulli=False):
-    trunc = _bernoulli_trunc(X) if bernoulli else _poly_trunc(X)
-    return trunc + 2e-13 * _series_scale(coeffs, X)
 
 
 def tail_transform(kind, X, t, side):
     """Closed-form tail integral_{|x| >= X, chosen side} f(x) e^{-2 pi i t x} dx.
 
     ``side`` is "right" for [X, inf) or "left" for (-inf, -X]; ``t = 0``
-    gives the plain tail integral.  Returns ``(value, err_bound)`` with the
-    bound covering series truncation and the E_n evaluation accuracy.
+    gives the plain tail integral.  One route for every kind and frequency:
+    :func:`extremal.quadrature.modulated_tail` on the kind's series, the
+    left tail being the mirrored series at -t.  Returns
+    ``(value, err_bound)`` with the bound covering series truncation (for
+    psi, the by-parts remainder as well) and the E_n evaluation accuracy.
     Requires ``X >= TAIL_CUTOFF`` so the inverse-power envelopes have
     converged to the quoted truncation bound.
     An array ``t`` gives arrays of its shape for both; a scalar ``t`` gives
@@ -326,80 +374,13 @@ def tail_transform(kind, X, t, side):
         raise ValueError("side must be 'right' or 'left'")
     if not X >= TAIL_CUTOFF:
         raise ValueError(f"tail cutoff must be >= {TAIL_CUTOFF}")
-    arr = np.asarray(t, dtype=float)
-    val, err = _tail(kind, float(X), arr.ravel(), side)
-    if arr.ndim == 0:
-        return complex(val[0]), float(err[0])
-    return val.reshape(arr.shape), err.reshape(arr.shape)
-
-
-def _tail(kind, X, t, side):
-    """tail_transform on a 1-d frequency array; returns two 1-d arrays."""
-    pi2 = np.pi**2
-
-    def channel(right, left, div, sign=1.0, bernoulli=False):
-        if side == "right":
-            val = sign * cosine_tail(right, X, t) / div
-            err = _cosine_tail_err(right, X, bernoulli) / div
-        else:
-            val = cosine_tail(left, X, -t) / div
-            err = _cosine_tail_err(left, X, bernoulli) / div
-        return val, np.full(t.shape, err)
-
-    if kind == "g":
-        return channel(_RHO_RIGHT, _RHO_LEFT, 2.0 * pi2, sign=-1.0)
-    if kind == "H":
-        return channel(_Q_RIGHT, _Q_LEFT, 2.0 * pi2)
-    if kind == "psi_beurling":
-        return channel(_R_RIGHT, _S_LEFT, pi2, bernoulli=True)
-    if kind == "G_minus_heaviside":
-        val, err = _tail("psi", X, t, side)
-        return 0.5 * val, 0.5 * err
-
-    # psi: two routes, and each frequency takes the one with the smaller
-    # bound.  At t = 0, Fubini: integral_X^inf psi = 2 integral_X^inf
-    # (u - X)(-g)(u) du, and u * rho(u) collapses to (u+-1)^{-2}; the same
-    # holds at the left tail.  Small t add the phase e^{-2 pi i t x} - 1 on
-    # the leading term of psi.  On x >= X (mirrored on the left) psi is
-    # (1/pi^2) integral_x^inf (1 - cos 2 pi u) rho(u) du, rho = 1/(u (u+-1)^2),
-    # which splits as 1/(2 pi^2 x^2) + r + o: |r| <= 1/(pi^2 x^2 (x-1)) from
-    # the series of integral_x^inf rho, and |o| <= rho(x)/pi^3 by the second
-    # mean value theorem.  The phase on the leading term is one E_2 channel
-    # minus its t = 0 value (real part -|t|/2 to first order); on r and o,
-    # |e^{-2 pi i t x} - 1| <= 2 pi |t| x charges 2|t|(1/pi + 1/pi^2)/(X-1).
-    q, rho = (_Q_RIGHT, _RHO_RIGHT) if side == "right" else (_Q_LEFT, _RHO_LEFT)
-    val = np.full(t.shape, (
-        cosine_tail(q, X, 0.0) - X * cosine_tail(rho, X, 0.0)
-    ) / pi2, dtype=complex)
-    err = np.full(t.shape, (
-        _cosine_tail_err(q, X) + X * _cosine_tail_err(rho, X)
-    ) / pi2)
-    moving = t != 0.0
-    if np.any(moving):
-        tm = t[moving]
-        lead = 0.5 / pi2
-        phase_val = tail_channel((lead,), X, tm if side == "right" else -tm) - lead / X
-        phase = 2.0 * np.abs(tm) * (1.0 / np.pi + 1.0 / pi2) / (X - 1.0)
-        phase += 2e-13 * lead / X
-        # Integration by parts (psi' = 2g away from 0):
-        #   integral_X^inf psi e^{-2 pi i t x} dx
-        #     = psi(X) e^{-2 pi i X t}/(2 pi i t) + (pi i t)^{-1} * g-tail.
-        # Both terms are ~psi(X)/(2 pi |t|) and cancel, so the rounding
-        # error of psi_closed(X) = 2 G(X) - 2 (a few ulp of 1, not of psi)
-        # is divided by 2 pi |t| as well.
-        denom = 2j * np.pi * tm
-        gval, gerr = _tail("g", X, tm, side)
-        if side == "right":
-            boundary = psi_closed(X) * np.exp(-denom * X) / denom
-        else:
-            boundary = -psi_closed(-X) * np.exp(denom * X) / denom
-        parts_err = (_PSI_EDGE_ERR + 2.0 * gerr) / np.abs(denom)
-        by_parts = parts_err < phase
-        val[moving] = np.where(
-            by_parts, boundary + 2.0 * gval / denom, val[moving] + phase_val
-        )
-        err[moving] = np.where(by_parts, parts_err, err[moving] + phase)
-    return val, err
+    X = float(X)
+    t = np.asarray(t, dtype=float)
+    right, left, div, trunc = _TAILS[kind]
+    (P, A), t = (right, t) if side == "right" else (left, -t)
+    val = modulated_tail(P, A, X, t) / div
+    err = (trunc(X) + 2e-13 * (_series_scale(P, X) + _series_scale(A, X))) / div
+    return val, (err if t.ndim == 0 else np.full(t.shape, err))
 
 
 # ---------------------------------------------------------------------------

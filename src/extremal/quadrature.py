@@ -11,9 +11,12 @@ tails numerically.  Instead, tails of the form
     phi(x) = sum_j c_j x^{-(j+2)}    (inverse-power envelope),
 
 are evaluated in closed form by :func:`tail_channel` via the generalized
-exponential integral E_n at purely imaginary argument (:func:`expint_en`).
-Kernel-specific envelope series live next to the kernels in
-:mod:`extremal.majorants`; this module only knows the generic machinery.
+exponential integral E_n at purely imaginary argument
+(:func:`extremal.specfun.expint_en`).  :func:`modulated_tail` adds the
+phase exp(2 pi i x) of the kernels, P(x) + Re(exp(2 pi i x) A(x)) with
+two such series.  Kernel-specific envelope series live next to the
+kernels in :mod:`extremal.majorants`; this module only knows the generic
+machinery.
 """
 
 from __future__ import annotations
@@ -23,16 +26,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import _expint_lentz, e1
+from .specfun import expint_en
 
 __all__ = [
     "QuadResult",
     "BudgetExceededError",
     "ToleranceNotMetError",
     "integrate_adaptive",
-    "expint_en",
     "tail_channel",
-    "cosine_tail",
+    "modulated_tail",
 ]
 
 # ---------------------------------------------------------------------------
@@ -222,52 +224,16 @@ def integrate_adaptive(
 
 
 # ---------------------------------------------------------------------------
-# Generalized exponential integral on the imaginary axis.
-
-def expint_en(n, z):
-    """E_n(z) for integer n >= 1 and complex z with Re z >= 0.
-
-    Hybrid evaluation: upward recurrence from E_1 =
-    :func:`extremal.specfun.e1` for |z| <= 10 (stable there), a modified
-    Lentz continued fraction beyond.  Accuracy is ~1e-13 relative over the
-    ranges used by the tail channels.  ``n`` and ``z`` may be arrays; they
-    broadcast against each other and are evaluated elementwise.  Scalar
-    ``n`` and ``z`` give a Python ``complex``.
-    """
-    n_arr, z_arr = np.broadcast_arrays(np.asarray(n), np.asarray(z, dtype=complex))
-    if np.any(n_arr < 1):
-        raise ValueError("expint_en requires n >= 1")
-    orders = n_arr.ravel()
-    flat = z_arr.ravel()
-    out = np.empty(flat.shape, dtype=complex)
-    zero = flat == 0.0
-    if np.any(zero):
-        if np.any(orders[zero] == 1):
-            raise ValueError("E_1(0) diverges")
-        out[zero] = 1.0 / (orders[zero] - 1)
-    if np.any(flat.real < -1e-300):
-        raise ValueError("expint_en requires Re z >= 0")
-
-    near = ~zero & (np.abs(flat) <= 10.0)
-    if np.any(near):
-        zn, nn = flat[near], orders[near]
-        e = e1(zn)
-        ez = np.exp(-zn)
-        for k in range(1, int(nn.max())):
-            e = np.where(k < nn, (ez - zn * e) / k, e)
-        out[near] = e
-    far = ~zero & ~near
-    if np.any(far):
-        out[far] = _expint_lentz(orders[far], flat[far])
-    return complex(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
-
+# Tail channels: inverse-power envelopes against a phase, through E_n at
+# imaginary argument.
 
 def tail_channel(coeffs, T, tau):
     """integral_T^inf (sum_j c_j x^{-(j+2)}) exp(-2 pi i tau x) dx.
 
     Exact term-by-term reduction to E_n:  each power x^{-(j+2)} contributes
     c_j T^{-(j+1)} E_{j+2}(2 pi i tau T).  ``coeffs`` is the envelope series
-    in the x^{-(j+2)} basis, ``T > 0`` the cutoff, ``tau`` the frequency
+    in the x^{-(j+2)} basis (each c_j a number, or an array broadcasting
+    against ``tau``), ``T > 0`` the cutoff, ``tau`` the frequency
     (``tau = 0`` gives the plain tail integral); an array ``tau`` gives an
     array of the same shape.  All orders are evaluated in one ``expint_en``
     call.
@@ -275,30 +241,30 @@ def tail_channel(coeffs, T, tau):
     if T <= 0.0:
         raise ValueError("tail_channel requires T > 0")
     tau = np.asarray(tau, dtype=float)
-    z = 2j * math.pi * tau * T
-    terms = []
-    Tp = 1.0 / T
-    for j, c in enumerate(coeffs):
-        if c != 0.0:
-            terms.append((j + 2, c * Tp))
-        Tp /= T
+    orders = np.arange(2, len(coeffs) + 2).reshape((-1,) + (1,) * tau.ndim)
     total = np.zeros(tau.shape, dtype=complex)
-    if terms:
-        orders = np.array([order for order, _ in terms]).reshape((-1,) + (1,) * tau.ndim)
-        for (_, weight), e in zip(terms, expint_en(orders, z)):
-            total = total + weight * e
+    Tp = 1.0 / T
+    for c, e in zip(coeffs, expint_en(orders, 2j * math.pi * tau * T)):
+        total = total + (c * Tp) * e
+        Tp /= T
     return complex(total) if tau.ndim == 0 else total
 
 
-def cosine_tail(coeffs, T, t):
-    """integral_T^inf (1 - cos 2 pi x) * envelope(x) * exp(-2 pi i t x) dx.
+def modulated_tail(P, A, T, t):
+    """integral_T^inf [P(x) + Re(exp(2 pi i x) A(x))] exp(-2 pi i t x) dx.
 
-    Expands the cosine into half-weight channels at frequencies t -+ 1:
-    J(t) - (J(t-1) + J(t+1)) / 2 over the same inverse-power envelope,
-    all three channels in one ``tail_channel`` call.  An array ``t`` gives
-    an array of the same shape.
+    ``P`` (real) and ``A`` (complex) are series in the x^{-(j+2)} basis.
+    Since Re(e^{2 pi i x} A) = (e^{2 pi i x} A + e^{-2 pi i x} conj(A)) / 2,
+    this is the channel of P at t plus half-weight channels of A at t - 1
+    and of conj(A) at t + 1, all three in one ``tail_channel`` call.  A
+    kernel (1 - cos 2 pi x) * envelope is the case P = envelope,
+    A = -envelope.  An array ``t`` gives an array of the same shape.
     """
     t = np.asarray(t, dtype=float)
-    j = tail_channel(coeffs, T, np.stack([t, t - 1.0, t + 1.0]))
-    out = j[0] - 0.5 * j[1] - 0.5 * j[2]
+    coeffs = np.zeros((max(len(P), len(A)), 3), dtype=complex)
+    coeffs[: len(P), 0] = P
+    coeffs[: len(A), 1] = 0.5 * np.asarray(A)
+    coeffs[:, 2] = np.conj(coeffs[:, 1])
+    j = tail_channel(coeffs, T, np.stack([t, t - 1.0, t + 1.0], axis=-1))
+    out = j[..., 0] + j[..., 1] + j[..., 2]
     return complex(out) if t.ndim == 0 else out

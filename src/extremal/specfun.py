@@ -1,13 +1,13 @@
 """Scalar special functions shared by the rest of the package.
 
 Everything here is vectorized over numpy arrays and returns plain floats
-(complex for ``e1``) for scalar input.  The public functions are
+(complex for ``expint_en``) for scalar input.  The public functions are
 ``sinc`` (the pi-normalized one, with exact zeros at nonzero integers),
 ``triangle`` (the unit hat function), ``trigamma`` on the positive
 half-line, ``si_cin`` (the sine integral and the entire cosine integral,
-behind the closed form of G) and ``e1`` (the exponential integral E_1 in
-the closed right half-plane, behind the tail channels).  They need numpy
-alone.
+behind the closed form of G) and ``expint_en`` (the exponential integral
+E_n in the closed right half-plane, behind the tail channels, and the only
+place the package evaluates it).  They need numpy alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import numpy as np
 from numpy.polynomial.chebyshev import cheb2poly
 
-__all__ = ["sinc", "triangle", "trigamma", "si_cin", "e1"]
+__all__ = ["sinc", "triangle", "trigamma", "si_cin", "expint_en"]
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -252,32 +252,56 @@ def _si_cin_block(x):
 _E1_SERIES_CUT = 2.0
 # E_1(z) = -gamma - log z - sum_{k>=1} (-z)^k / (k k!), summed as z times a
 # polynomial of degree 23; the first omitted term at |z| = 2 is below 1e-19.
+# Near |z| = 2 on the real axis the sum cancels to 1/27 of its terms and
+# the recurrence to E_2 and E_3 loses a further factor of 4 (2.1e-14
+# relative in double), so both run in numpy's longdouble (a 64-bit mantissa
+# on x86-64 Linux).
 _E1_SERIES = tuple(
-    -((-1) ** j) / ((j + 1) * math.factorial(j + 1)) for j in range(24)
+    np.longdouble((-1) ** (j + 1)) / ((j + 1) * np.longdouble(math.factorial(j + 1)))
+    for j in range(24)
 )
+_EULER_GAMMA_LONG = np.longdouble("0.57721566490153286060651209")
 
 
-def e1(z):
-    """Exponential integral E_1(z) for complex z != 0 with Re z >= 0.
+def expint_en(n, z):
+    """Exponential integral E_n(z) for integer n >= 1 and complex z with
+    Re z >= 0.
 
-    The power series for |z| < 2, the continued fraction of
-    :func:`_expint_lentz` beyond.  Within 1e-14 relative of mpmath for
-    1e-6 <= |z| <= 10 on six rays from the real to the imaginary axis
-    (tests/test_specfun.py).  Returns a complex array of the shape of ``z``,
-    or a Python ``complex`` for scalar input.
+    E_n(0) = 1/(n - 1) for n >= 2.  Below |z| = 2, the power series of E_1
+    and the upward recurrence n E_{n+1}(z) = exp(-z) - z E_n(z), both in
+    longdouble; from |z| = 2 on, the continued fraction of
+    :func:`_expint_lentz` for every order.  Within 1e-14 relative of mpmath
+    for n <= 31 and 1e-8 <= |z| <= 804 on the axes and diagonals of the
+    closed right half-plane (tests/test_specfun.py).  Where longdouble is
+    plain double, points just below |z| = 2 off the imaginary axis lose up
+    to 2.1e-14.  ``n`` and ``z`` broadcast against each other; scalar ``n``
+    and ``z`` give a Python ``complex``.
     """
-    arr = np.asarray(z, dtype=complex)
-    flat = arr.ravel()
-    if np.any(flat == 0.0) or np.any(flat.real < -1e-300):
-        raise ValueError("e1 requires z != 0 with Re z >= 0")
-    out = np.empty_like(flat)
-    near = np.abs(flat) < _E1_SERIES_CUT
-    w = flat[near]
-    out[near] = -EULER_GAMMA - np.log(w) - w * _horner(_E1_SERIES, w)
-    far = ~near
+    n_arr, z_arr = np.broadcast_arrays(np.asarray(n), np.asarray(z, dtype=complex))
+    if np.any(n_arr < 1):
+        raise ValueError("expint_en requires n >= 1")
+    orders = n_arr.ravel()
+    flat = z_arr.ravel()
+    if np.any(flat.real < -1e-300):
+        raise ValueError("expint_en requires Re z >= 0")
+    out = np.empty(flat.shape, dtype=complex)
+    zero = flat == 0.0
+    if np.any(zero):
+        if np.any(orders[zero] == 1):
+            raise ValueError("E_1(0) diverges")
+        out[zero] = 1.0 / (orders[zero] - 1)
+    near = ~zero & (np.abs(flat) < _E1_SERIES_CUT)
+    if np.any(near):
+        w, nn = flat[near].astype(np.clongdouble), orders[near]
+        e = -_EULER_GAMMA_LONG - np.log(w) - w * _horner(_E1_SERIES, w)
+        ew = np.exp(-w)
+        for k in range(1, int(nn.max())):
+            e = np.where(k < nn, (ew - w * e) / k, e)
+        out[near] = e
+    far = ~zero & ~near
     if np.any(far):
-        out[far] = _expint_lentz(np.ones(np.count_nonzero(far)), flat[far])
-    return complex(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+        out[far] = _expint_lentz(orders[far], flat[far])
+    return complex(out[0]) if z_arr.ndim == 0 else out.reshape(z_arr.shape)
 
 
 def _expint_lentz(n, z):

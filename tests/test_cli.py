@@ -10,6 +10,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -121,11 +122,19 @@ class TestEval:
         assert out.strip().splitlines()[-1] == "1.7e+308,1.0,1.0,1.0,0.0,0.0"
 
     @pytest.mark.parametrize(
-        "grid", ["5:1:10", "1:1:5", "0:1:1", "abc", "1:2", "1:2:3:4", "nan:1:5"]
+        "grid",
+        [
+            "5:1:10", "1:1:5", "0:1:1", "abc", "1:2", "1:2:3:4", "nan:1:5",
+            "-1.7976931348623157e308:1.7976931348623157e308:3",
+        ],
     )
     def test_bad_grid_exits_2(self, grid, capsys):
-        code, _, err = run(capsys, "eval", "--grid", grid)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run(capsys, "eval", "--grid", grid)
         assert code == 2
+        assert "grid" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_bad_tol_exits_2(self, capsys):
         code, _, _ = run(capsys, "eval", "--grid", "0:1:2", "--tol", "1e-15")

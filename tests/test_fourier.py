@@ -206,9 +206,8 @@ class TestNumericFT:
     @pytest.mark.parametrize("tol", [1e-8, 1e-7])
     @pytest.mark.parametrize("t", [-1e-11, 1e-11, 1e-10, 1e-9, 1e-8])
     def test_psi_tiny_frequency_bound_honest(self, t, tol):
-        # Near t = 0 the integration-by-parts tail divides two cancelling
-        # terms by 2 pi t: whatever comes back, value or refusal, its
-        # reported accuracy must cover the true error.
+        # Whatever comes back near t = 0, value or refusal, its reported
+        # accuracy must cover the true error.
         try:
             value = numeric_ft("psi", t, tol=tol)
         except BudgetExceededError as exc:
@@ -217,12 +216,26 @@ class TestNumericFT:
             assert abs(value - psi_hat(t)) <= tol
 
     def test_psi_small_frequencies_meet_tight_tol(self):
-        # The t = 0 tail route carries the first-order phase term, so the
-        # tightest tol holds down to t = 0 instead of being refused.
+        # The tightest tol holds down to t = 0 instead of being refused.
         t = np.geomspace(1e-12, 1e-6, 61)
         for ts in (t, -t):
             value = numeric_ft("psi", ts, tol=1e-8)
             assert np.all(np.abs(value - psi_hat(ts)) <= 1e-8)
+
+    def test_psi_matches_closed_form_near_zero_and_band_edge(self):
+        # Down to |t| = 1e-14, and next to |t| = 1, where the phase
+        # channels of the tail sit at frequency ~0.  numeric_ft's estimate,
+        # reassembled from its parts, bounds the error.
+        t = np.concatenate([
+            np.geomspace(1e-14, 5.0, 111), [1e-7, 1.0 - 1e-9, 1.0 + 1e-9],
+        ])
+        t = np.concatenate([t, -t])
+        err = np.abs(numeric_ft("psi", t) - psi_hat(t))
+        assert np.max(err) <= 1e-13
+        _, est, _ = _filon_central("psi", t)
+        _, err_r = tail_transform("psi", TAIL_CUTOFF, t, "right")
+        _, err_l = tail_transform("psi", TAIL_CUTOFF, t, "left")
+        assert np.all(err <= est + err_r + err_l)
 
     def test_beurling_deficit_integral(self):
         # The interpolating majorant has half the deficit of the monotone one.
@@ -259,9 +272,9 @@ class TestNumericFT:
             assert abs(full_transform("H", t) - expected) < 1e-11
 
 
-# Frequencies for the array path: the origin, the band edge, tiny |t| (the
-# psi tail switches branch at 1e-12), both sides of the |omega| = 8 switch
-# of the Filon moments (|t| = 32 / pi ~ 10.19) and |t| up to 300.
+# Frequencies for the array path: the origin, the band edge, tiny |t|, both
+# sides of the |omega| = 8 switch of the Filon moments (|t| = 32 / pi ~
+# 10.19) and |t| up to 300.
 ARRAY_TS = np.array([
     0.0, 1.0, -1.0, 1e-7, -1e-7, 0.37, -2.5,
     10.18, 10.19, 10.2, -10.18, -10.2, 57.3, 300.0, -300.0,

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from extremal.quadrature import (
     BudgetExceededError,
     QuadResult,
-    cosine_tail,
-    expint_en,
     integrate_adaptive,
+    modulated_tail,
     tail_channel,
 )
+from extremal.specfun import expint_en
 
 # mpmath expint(n, z) at 50 digits.
 EXPINT_TABLE = [
@@ -120,9 +120,10 @@ class TestExpintEn:
         assert expint_en(5, 0.0) == pytest.approx(0.25, rel=1e-15)
 
     def test_recurrence_crosses_regimes(self):
-        # n E_{n+1}(z) = exp(-z) - z E_n(z), checked where the two internal
-        # evaluation branches meet (|z| near 10).
-        for z in (9.5 + 0.0j, 0.0 + 9.5j, 7.0 + 7.0j, 0.0 + 10.5j, 10.5 + 0.0j):
+        # n E_{n+1}(z) = exp(-z) - z E_n(z), checked on both sides of the
+        # series cut |z| = 2 and around |z| = 10.
+        for z in (1.99 + 0.0j, 0.0 + 2.01j, 1.4 + 1.4j, 2.0 + 0.0j,
+                  9.5 + 0.0j, 0.0 + 9.5j, 7.0 + 7.0j, 0.0 + 10.5j, 10.5 + 0.0j):
             for n in (2, 4, 9):
                 lhs = n * expint_en(n + 1, z)
                 rhs = np.exp(-z) - z * expint_en(n, z)
@@ -138,10 +139,11 @@ class TestExpintEn:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 11])
     def test_array_matches_mpmath_across_branch_switch(self, n):
-        # Rays through the |z| = 10 switch between the exp1 recurrence and
-        # the continued fraction, on the axes and the diagonal.
+        # Rays through the series cut |z| = 2 and through |z| = 10, on the
+        # axes and the diagonal.
         mpmath = pytest.importorskip("mpmath")
-        radii = np.array([0.5, 3.0, 9.5, 9.99, 10.0, 10.01, 10.5, 12.0, 30.0, 200.0])
+        radii = np.array([0.5, 1.99, 2.0, 2.01, 3.0, 9.5, 9.99, 10.0, 10.01,
+                          10.5, 12.0, 30.0, 200.0])
         z = np.concatenate([
             radii + 0j, 1j * radii, -1j * radii, radii * np.exp(0.25j * np.pi),
         ]).reshape(4, -1)
@@ -151,8 +153,7 @@ class TestExpintEn:
             ref = np.array([
                 complex(mpmath.expint(n, mpmath.mpc(v.real, v.imag))) for v in z.ravel()
             ]).reshape(z.shape)
-        # The upward recurrence loses ~1e-12 at n = 11 just below |z| = 10.
-        assert np.all(np.abs(got - ref) <= 5e-12 * np.abs(ref))
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
         assert all(got.flat[i] == expint_en(n, v) for i, v in enumerate(z.flat))
 
     def test_orders_broadcast_against_z(self):
@@ -206,21 +207,43 @@ class TestTailChannel:
         expected = 2.0 / T - 1.0 / (3.0 * T**3)
         assert tail_channel(coeffs, T, 0.0) == pytest.approx(expected, rel=1e-14)
 
-    def test_cosine_tail_real_for_real_kernels(self):
-        # (1 - cos 2 pi x) modulation at tau = 0: J(0) - J(-1)/2 - J(1)/2 is real.
-        val = cosine_tail([1.0, 0.5, 0.25], 16.0, 0.0)
+    def test_modulated_tail_real_for_real_kernels(self):
+        # (1 - cos 2 pi x) modulation at t = 0: P = -A real gives a real value.
+        coeffs = np.array([1.0, 0.5, 0.25])
+        val = modulated_tail(coeffs, -coeffs, 16.0, 0.0)
         assert abs(val.imag) < 1e-15
 
-    def test_cosine_tail_against_quadrature(self):
+    def test_modulated_tail_against_quadrature(self):
         T, tau = 16.0, 0.42
-        coeffs = [1.0, -1.0]
+        coeffs = np.array([1.0, -1.0])
 
         def env(x):
             return (1.0 - np.cos(2.0 * np.pi * x)) * (x**-2 - x**-3)
 
         # Difference of two truncations isolates [T, 4T].
-        upper = cosine_tail(coeffs, 4.0 * T, tau)
-        lower = cosine_tail(coeffs, T, tau)
+        upper = modulated_tail(coeffs, -coeffs, 4.0 * T, tau)
+        lower = modulated_tail(coeffs, -coeffs, T, tau)
         re = integrate_adaptive(lambda x: env(x) * np.cos(2 * np.pi * tau * x), T, 4 * T, 1e-13).value
         im = integrate_adaptive(lambda x: -env(x) * np.sin(2 * np.pi * tau * x), T, 4 * T, 1e-13).value
         assert abs((lower - upper) - complex(re, im)) < 5e-13
+
+    @pytest.mark.parametrize("t", [0.0, 0.42, -1.0, 1.3])
+    def test_complex_phase_series_against_quadrature(self, t):
+        # P and A of different lengths, A complex: the phase e^{2 pi i x}
+        # against the channels at t - 1 and t + 1.
+        T = 16.0
+        P = np.array([1.0, 0.0, -2.0])
+        A = np.array([0.0, 0.5 - 1.5j, 0.0, 3.0j, 1.0])
+
+        def series(c, x):
+            return sum(cj * x ** -(j + 2) for j, cj in enumerate(c))
+
+        def f(x):
+            return series(P, x) + np.real(np.exp(2j * np.pi * x) * series(A, x))
+
+        upper = modulated_tail(P, A, 4.0 * T, np.array([t]))
+        lower = modulated_tail(P, A, T, np.array([t]))
+        re = integrate_adaptive(lambda x: f(x) * np.cos(2 * np.pi * t * x), T, 4 * T, 1e-13).value
+        im = integrate_adaptive(lambda x: -f(x) * np.sin(2 * np.pi * t * x), T, 4 * T, 1e-13).value
+        assert upper.shape == (1,)
+        assert abs((lower - upper)[0] - complex(re, im)) < 5e-13
