@@ -16,14 +16,14 @@ import sys
 
 import numpy as np
 
-from extremal._float_text import csv_rows
+from extremal._float_text import csv_bytes
 
 BATCH = 1 << 16  # values per comparison; keeps memory to a few MB
 
 
 def mismatches(values):
     """(repr, formatted) for each value whose two texts differ."""
-    got = "".join(csv_rows([values]))
+    got = b"".join(csv_bytes([[values]])).decode("ascii")
     want = "".join(f"{v!r}\n" for v in values.tolist())
     if got == want:
         return []

@@ -1,19 +1,23 @@
 """Shortest round-trip text of float64 arrays, formatted in bulk.
 
-:func:`csv_rows` turns equal-length float64 columns into CSV rows whose
-fields are byte-identical to ``repr(float(v))``: the shortest decimal that
-reads back as the same double, the nearest one when several are that
-short, ties to even, laid out as ``repr`` lays it out (``-0.0``, ``inf``,
-``nan``, ``1e-05`` but ``0.0001``, ``1e+16`` but ``1000000000000000.0``).
+:func:`csv_bytes` turns tables of equal-length float64 columns into CSV
+rows whose fields are byte-identical to ``repr(float(v))``: the shortest
+decimal that reads back as the same double, the nearest one when several
+are that short, ties to even, laid out as ``repr`` lays it out (``-0.0``,
+``inf``, ``nan``, ``1e-05`` but ``0.0001``, ``1e+16`` but
+``1000000000000000.0``).
 
 The digits come from Ryū (Adams, "Ryū: fast float-to-string conversion",
 PLDI 2018, doi:10.1145/3192366.3192369).  Per value it takes one product
 of the scaled mantissa with a 125-bit power of five looked up by binary
 exponent, a shift, and the removal of the digits that the rounding
 interval leaves free.  All of it is fixed-width integer arithmetic, so it
-runs on whole arrays here: the products in 32-bit limbs held in uint64,
+runs on whole arrays here: the product in 32-bit limbs held in uint64,
 the digit removal as counts rather than a loop per value, and the text
-as bytes shifted within uint64 words.
+as bytes shifted within uint64 words.  Every block of rows of a call is
+computed in one workspace through ``out=`` and in-place operations:
+arrays freed after each block would have the C allocator hand their pages
+back to the operating system and the next block fault them in again.
 """
 
 from __future__ import annotations
@@ -23,25 +27,26 @@ import types
 
 import numpy as np
 
-__all__ = ["csv_rows"]
+__all__ = ["csv_bytes", "csv_rows"]
 
-# Rows formatted at a time.  The work arrays of a block take about 1.8 MB;
-# at 2048 rows the peak RSS of `extremal eval` on 100,001 points rose above
-# that of per-value repr (43.2 against 41.6 MB).
+# Rows formatted at a time.  The workspace takes 205 bytes a value, 1.26 MB
+# for eval's six columns.  With this and eval's row block at 2048 the peak
+# RSS of `extremal eval` on 100,001 points rose from 41.8 to 43.6 MB; at
+# 512 it fell to 41.0 MB, but eval took a quarter longer.
 _ROWS = 1024
 
 _MANT_BITS = 52
 _POW5_BITS = 125  # bits of every multiplier, as in Ryū's double tables
 _M32 = 0xFFFFFFFF
 _ZEROS = 0x3030303030303030  # eight ASCII '0's in a uint64
-_POINTS = 0x2E2E2E2E2E2E2E2E  # eight ASCII '.'s
 
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)  # 10**19 is the last in uint64
 _POW5 = 5 ** np.arange(22, dtype=np.uint64)
+_LEAD = _POW10[17 - np.arange(18)]  # by digit count n: 10**(17 - n)
 # _BELOW[k, p]: the bytes of word k of a text that lie below its byte p.
 _BELOW = np.array([(1 << (8 * b)) - 1 for b in range(9)], dtype=np.uint64)[
     np.clip(np.arange(26) - 8 * np.arange(3)[:, None], 0, 8)]
-_COLUMNS = np.arange(32, dtype=np.uint8)
+_ZPAD = _ZEROS & _BELOW[0]  # by p < 9: p ASCII '0's
 
 
 @functools.cache
@@ -53,9 +58,12 @@ def _tables():
     multiplier, which is ``floor(2**k / 5**q) + 1`` where ``e2 >= 0`` and
     the top 125 bits of ``5**i`` where ``e2 < 0`` (the reference
     implementation's DOUBLE_POW5_INV_SPLIT and DOUBLE_POW5_SPLIT);
-    ``shift``, the bit of the product where the result starts, in
-    [118, 125]; ``e10``, the decimal exponent of the result; and Ryū's
-    ``q``.  By i < 10**4: ``tz4``, the trailing decimal zeros of i (4 for
+    ``shift``, the bit of the product where the result starts, less 96;
+    ``hidden``, the implicit mantissa bit; ``e10``, the decimal exponent of
+    the result; Ryū's ``q``; ``five`` and ``low``, the exponents where a
+    bound can be exact by a power of five or of two; and ``tz_mask``, the
+    bits below 2**q, mv's trailing zeros test (all bits where there is
+    none).  By i < 10**4: ``tz4``, the trailing decimal zeros of i (4 for
     0), and ``digits4``, the ASCII digits of i in a uint64, first digit in
     the lowest byte.
     """
@@ -67,7 +75,8 @@ def _tables():
                       for k in range(4)], dtype=np.uint64)
 
     # e2 is the binary exponent of 4 * m2; subnormals share exponent 1's.
-    e2 = np.maximum(np.arange(2047), 1) - (1023 + _MANT_BITS + 2)
+    biased = np.arange(2047)
+    e2 = np.maximum(biased, 1) - (1023 + _MANT_BITS + 2)
     pos = e2 >= 0
     pos_e2, neg_e2 = np.maximum(e2, 0), np.maximum(-e2, 0)
     # floor(log10(2**e)), floor(log10(5**e)) and the bit length of 5**e,
@@ -84,39 +93,44 @@ def _tables():
     row = np.where(pos, q, len(inv) + i)
     group = np.arange(10**4, dtype=np.uint64)
     return types.SimpleNamespace(
-        limbs=limbs[:, row],
-        shift=shift.astype(np.uint64),
-        e10=np.where(pos, q, q + e2),
-        q=q,
+        limbs=limbs[:, row], shift=(shift - 96).astype(np.uint64),
+        hidden=(biased > 0).astype(np.uint64) << _MANT_BITS,
+        e10=np.where(pos, q, q + e2), q=q, five=pos & (q <= 21),
+        low=~pos & (q <= 1),
+        tz_mask=np.where(~pos & (q < 63), (1 << np.minimum(q, 62)) - 1,
+                         -1).astype(np.uint64),
         tz4=sum((group % 10**k == 0) for k in range(1, 5)).astype(np.intp),
         digits4=sum((group // 10**k % 10 + ord("0")) << np.uint64(8 * (3 - k))
                     for k in range(4)),
     )
 
 
-def _mul_shift(x, mul, s):
-    """``floor(x * m / 2**(96 + s))`` for ``x < 2**55``, ``0 < s < 32`` and
-    the 126-bit multiplier ``m`` in the 32-bit limbs ``mul``.
+def _workspace(columns):
+    """One block's arrays: the values; out, decpt, n, length and pad,
+    handed from step to step; a pool of 13 rows that each step takes in
+    turn; flags; and the text, a 32-byte slot per value."""
+    size = _ROWS * columns
+    u = np.empty((18, size), np.uint64)
+    i = u.view(np.int64)
+    text = bytearray(32 * size)
+    slots = np.frombuffer(text, np.uint64).reshape(size, 4)
+    seps = np.full((_ROWS, columns), ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    return types.SimpleNamespace(
+        size=size, vals=np.empty(size), out=u[0], decpt=i[1], n=i[2],
+        length=i[3], pad=i[4], pool=u[5:],
+        flags=np.empty((12, size), bool), text=text, slots=slots,
+        flat=slots.view(np.uint8).reshape(-1), words=slots[:, :3].T,
+        start=np.arange(size) * 32, seps=seps.reshape(-1),
+    )
 
-    x is split at bit 32 into ``a0 + a1 * 2**32``.  Column c of the product
-    (weight ``2**(32 c)``) sums the low half of ``a0 * m_c``, the high half
-    of ``a0 * m_(c-1)``, the whole ``a1 * m_(c-1) < 2**55`` and the carry,
-    so no sum leaves uint64.  Column 0 adds nothing at or above 2**32;
-    columns 3 and 4 hold the result, which fits in 64 bits.
-    """
-    a0, a1 = x & _M32, x >> 32
-    p = [a0 * mul[k] for k in range(4)]
-    c = np.uint64(0)
-    for k in range(1, 4):
-        c = (c >> 32) + (p[k] & _M32) + (p[k - 1] >> 32) + a1 * mul[k - 1]
-    c4 = (c >> 32) + (p[3] >> 32) + a1 * mul[3]
-    return ((c & _M32) >> s) | (c4 << (32 - s))
 
-
-def _trailing_zeros(t):
-    """Trailing decimal zeros of each ``t``, up to 20 (so 20 for 0)."""
+def _trailing_zeros(t, out=None):
+    """Trailing decimal zeros of each ``t``, up to 20 (so 20 for 0), in
+    ``out`` if given."""
     tz4 = _tables().tz4
-    zeros = tz4[t % _POW10[4]]
+    zeros = np.take(tz4, np.remainder(t, _POW10[4], out=out), out=out,
+                    mode="clip")
     idx = np.flatnonzero(zeros == 4)  # rare: look past the last four
     rest = t[idx]
     for _ in range(4):
@@ -129,172 +143,271 @@ def _trailing_zeros(t):
     return zeros
 
 
-def _shortest(bits):
-    """Ryū's shortest digits ``(out, exp10)`` of nonzero finite doubles given
-    as uint64 bit patterns: ``out * 10**exp10`` is the value ``repr``
-    prints, with ``out < 10**17``."""
-    exponent = ((bits >> _MANT_BITS) & 0x7FF).astype(np.intp)
-    mant = bits & ((1 << _MANT_BITS) - 1)
-    m2 = mant | ((exponent != 0).astype(np.uint64) << _MANT_BITS)
-    accept = (m2 & 1) == 0  # round-half-even reads the bounds back to m2
-    mm_shift = ((mant != 0) | (exponent <= 1)).astype(np.uint64)
-    mv = m2 << 2
+def _shortest(bits, w):
+    """Ryū's shortest digits of the nonzero finite doubles whose uint64 bit
+    patterns are ``bits``, into ``w.out`` and ``w.decpt``: ``out *
+    10**decpt`` is the value ``repr`` prints, with ``out < 10**17``."""
+    tables, pool, out = _tables(), w.pool, w.out
+    e = pool[0].view(np.int64)
+    mv, s, a0, a1, p, col = pool[1:7]
+    m, (hp, vr, vp, vm) = pool[7:9], pool[9:13]
+    accept, mm, vr_exact, vm_exact, cond, flag = w.flags[6:]
 
-    # vr, vp and vm: the value and the ends of its rounding interval,
-    # times 10**-e10, truncated.
-    tables = _tables()
-    mul = [limb[exponent] for limb in tables.limbs]
-    shift = tables.shift[exponent] - 96
-    vr = _mul_shift(mv, mul, shift)
-    vp = _mul_shift(mv + 2, mul, shift)
-    vm = _mul_shift(mv - 1 - mm_shift, mul, shift)
+    def take(table, out):
+        return np.take(table, e, out=out, mode="clip")
+
+    np.right_shift(bits, _MANT_BITS, out=mv)
+    np.bitwise_and(mv, 0x7FF, out=e)
+    np.bitwise_and(bits, 1, out=mv)
+    np.equal(mv, 0, out=accept)  # round-half-even reads the bounds back to m2
+    np.bitwise_and(bits, (1 << _MANT_BITS) - 1, out=mv)
+    np.not_equal(mv, 0, out=mm)
+    np.less_equal(e, 1, out=flag)
+    mm |= flag  # Ryū's mmShift: 1 unless the interval below is half as wide
+    mv |= take(tables.hidden, p)
+    mv <<= 2
+
+    # vr, vp and vm: the value and the ends of its rounding interval, times
+    # 10**-e10, truncated, that is mv, mv + 2 and mv - 1 - mm times the
+    # multiplier; the latter two are the first plus 2 and less 1 + mm
+    # multipliers.  Column k (weight 2**(32 k)) of the product with
+    # mv = a0 + a1 * 2**32 sums the low half of a0 * m_k, the high half of
+    # a0 * m_(k-1) and the whole a1 * m_(k-1) < 2**55.  The three sums
+    # carry up the columns in int64, where a borrow shifts down as -1.
+    take(tables.shift, s)
+    np.bitwise_and(mv, _M32, out=a0)
+    np.right_shift(mv, 32, out=a1)
+    pool[8:13] = 0  # m[1], hp and the three sums
+    chains, icol = pool[10:13].view(np.int64), col.view(np.int64)
+    ivp, ivm = chains[1:]
+    for k in range(4):
+        mk = m[k % 2]
+        np.take(tables.limbs[k], e, out=mk, mode="clip")
+        np.multiply(a0, mk, out=p)
+        np.bitwise_and(p, _M32, out=col)
+        col += hp
+        np.right_shift(p, 32, out=hp)
+        np.multiply(a1, m[1 - k % 2], out=p)
+        col += p
+        chains >>= 32
+        chains += icol
+        imk = mk.view(np.int64)
+        ivp += imk
+        ivp += imk
+        ivm -= imk
+        np.subtract(ivm, imk, out=ivm, where=mm)
+    # Column 4 and the low half of column 3 hold the results.
+    np.multiply(a1, m[1], out=col)
+    col += hp
+    np.subtract(32, s, out=m[0])
+    top = pool[3:6].view(np.int64)
+    np.right_shift(chains, 32, out=top)
+    top += icol
+    top <<= m[0].view(np.int64)
+    chains &= _M32
+    chains >>= s.view(np.int64)
+    chains |= top
 
     # Whether a truncation dropped only zeros, on the branches where it
     # can (Ryū's vrIsTrailingZeros and vmIsTrailingZeros).
-    q = tables.q[exponent]
-    pos = exponent >= 1023 + _MANT_BITS + 2
-    vr_exact = np.zeros(bits.shape, bool)
-    vm_exact = np.zeros(bits.shape, bool)
-    idx = np.flatnonzero(pos & (q <= 21))
+    take(tables.tz_mask, p)
+    p &= mv
+    np.equal(p, 0, out=vr_exact)
+    vm_exact[:] = False
+    idx = np.flatnonzero(take(tables.low, flag))
+    vm_exact[idx] = accept[idx] & mm[idx]
+    vp[idx] -= ~accept[idx]
+    idx = np.flatnonzero(take(tables.five, flag))
     if idx.size:
-        p5 = _POW5[q[idx]]
+        p5 = _POW5[tables.q[e[idx]]]
         mvi, acc = mv[idx], accept[idx]
         five = mvi % 5 == 0
         vr_exact[idx] = five & (mvi % p5 == 0)
-        vm_exact[idx] = ~five & acc & ((mvi - 1 - mm_shift[idx]) % p5 == 0)
-        vp[idx] -= (~five & ~acc & ((mvi + 2) % p5 == 0)).astype(np.uint64)
-    low = ~pos & (q <= 1)
-    vm_exact |= low & accept & (mm_shift == 1)
-    vp -= (low & ~accept).astype(np.uint64)
-    q_bits = np.minimum(q, 63).astype(np.uint64)
-    vr_exact |= ~pos & (q < 63) & ((mv & ((np.uint64(1) << q_bits) - 1)) == 0)
+        vm_exact[idx] = ~five & acc & ((mvi - 1 - mm[idx]) % p5 == 0)
+        vp[idx] -= ~five & ~acc & ((mvi + 2) % p5 == 0)
 
     # Digit r can go while a multiple of 10**r lies in (vm, vp], that is
     # while vp % 10**r < vp - vm.  Every r with 10**r <= vp - vm can; past
     # those, the next one may, and then one more for each zero digit of vp
     # above it.
-    width = vp - vm
-    removed = np.searchsorted(_POW10, width, side="right") - 1
-    step = _POW10[removed + 1]
-    above = vp // step
-    removed += (vp - above * step < width) * (1 + _trailing_zeros(above))
+    width, removed, zeros = col, s.view(np.int64), hp.view(np.int64)
+    np.subtract(vp, vm, out=width)
+    removed[:] = np.searchsorted(_POW10, width, side="right")
+    removed -= 1
+    np.take(_POW10[1:], removed, out=p, mode="clip")
+    np.divmod(vp, p, out=(a0, p))
+    np.less(p, width, out=cond)
+    _trailing_zeros(a0, out=zeros)
+    zeros += 1
+    zeros *= cond
+    removed += zeros
     # With vm exact, the trailing zeros of its remaining digits go too.
     idx = np.flatnonzero(vm_exact)
     vm_exact[idx] = vm[idx] % _POW10[removed[idx]] == 0
     idx = idx[vm_exact[idx]]
     removed[idx] += _trailing_zeros(vm[idx] // _POW10[removed[idx]])
 
-    head = vr // _POW10[np.maximum(removed - 1, 0)]
-    last = np.where(removed > 0, head % 10, 0)  # the last digit removed
-    vr_out = np.where(removed > 0, head // 10, vr)
+    # out, what it leaves of vr (rest), and the last digit of that (last).
+    rest, last = a1, m[0].view(np.int64)
+    np.take(_POW10, removed, out=p, mode="clip")
+    np.divmod(vr, p, out=(out, rest))
+    np.subtract(removed, 1, out=zeros)
+    np.take(_POW10, zeros, out=a0, mode="clip")  # 10**-1 clips to 1
+    np.floor_divide(rest, a0, out=last)
     idx = np.flatnonzero(vr_exact)
-    vr_exact[idx] = vr[idx] % _POW10[np.maximum(removed[idx] - 1, 0)] == 0
+    idx = idx[rest[idx] % a0[idx] == 0]
     # An exact ...5000 tail rounds to even.
-    last[vr_exact & (last == 5) & (vr_out % 2 == 0)] = 4
-    # Where vr_out is vm's remaining digits it reads back only if that
-    # bound is exact and admitted; else the next number up is taken.
-    at_vm = vm >= vr_out * _POW10[removed]
-    up = (at_vm & (~accept | ~vm_exact)) | (last >= 5)
-    return vr_out + up.astype(np.uint64), tables.e10[exponent] + removed
+    last[idx[(last[idx] == 5) & (out[idx] % 2 == 0)]] = 4
+    # Where out is vm's remaining digits it reads back only if that bound
+    # is exact and admitted; else the next number up is taken.
+    p *= out
+    np.greater_equal(vm, p, out=cond)
+    np.logical_and(accept, vm_exact, out=flag)
+    cond &= ~flag
+    cond |= last >= 5
+    out += cond
+    take(tables.e10, w.decpt)
+    w.decpt += removed
 
 
-def _digits8(v):
-    """The eight ASCII digits of each ``v < 10**8`` in one uint64."""
-    hi = v // _POW10[4]
-    digits4 = _tables().digits4
-    return digits4[hi] | digits4[v - hi * _POW10[4]] << 32
+def _words(sign, frac, sci, w):
+    """Write the text of each value but its exponent, NUL past its length,
+    into the first three words of its slot: byte p of the text in byte
+    p % 8 (counted from the low end) of word p // 8."""
+    W, M, T = w.pool[0:3], w.pool[3:6], w.pool[6:9]
+    lead, sh, sh63, dpos = *w.pool[9:12], w.pool[12].view(np.int64)
+    pad, decpt = w.pad, w.decpt
 
-
-def _words(out, n, decpt, sign, frac, sci):
-    """The text of each value but its exponent, in the first three uint64
-    words of a row of four: byte p of the text in byte p % 8 (counted from
-    the low end) of word p // 8."""
     # First the digits, left-aligned to 17 and padded with '0's: eight,
     # eight, one.
-    lead = out * _POW10[17 - n]
-    head = lead // 10
-    hi8 = head // _POW10[8]
-    w = [_digits8(hi8), _digits8(head - hi8 * _POW10[8]),
-         (lead - head * 10) | _ZEROS]
+    np.take(_LEAD, w.n, out=lead, mode="clip")
+    lead *= w.out
+    np.divmod(lead, 10, out=(lead, W[2]))
+    W[2] |= _ZEROS
+    np.divmod(lead, _POW10[8], out=(M[0], M[1]))
+    np.divmod(M[:2], _POW10[4], out=(W[:2].view(np.int64), T[:2].view(np.int64)))
+    digits4 = _tables().digits4
+    np.take(digits4, W[:2].view(np.int64), out=W[:2], mode="clip")
+    np.take(digits4, T[:2].view(np.int64), out=T[:2], mode="clip")
+    T[:2] <<= 32
+    W[:2] |= T[:2]
 
     # Then the sign, and for 0.000ddd the 1 - decpt zeros, go in front: the
-    # text moves up that many bytes over '0's, the first one a '-' if the
-    # value is negative.
-    pad = np.where(frac, 1 - decpt, 0) + sign
-    sh = (8 * pad).astype(np.uint64)
-    fill = (_ZEROS & _BELOW[0, pad]) ^ sign.astype(np.uint64) * (ord("0") ^ ord("-"))
-    w = [w[0] << sh | fill] + [w[k] << sh | (w[k - 1] >> 1) >> (63 - sh)
-                               for k in (1, 2)]
+    # text moves up pad bytes over '0's, the first one a '-' if the value is
+    # negative.
+    np.left_shift(pad, 3, out=sh.view(np.int64))
+    np.subtract(63, sh, out=sh63)
+    np.right_shift(W[:2], 1, out=T[:2])
+    T[:2] >>= sh63
+    W <<= sh
+    W[1:] |= T[:2]
+    W[0] |= np.take(_ZPAD, pad, out=T[0], mode="clip")
+    np.bitwise_xor(W[0], ord("0") ^ ord("-"), out=W[0], where=sign)
 
     # Then the point after the first dpos bytes, which stay; the rest move
     # up one.
-    dpos = sign + np.where(frac | sci, 1, decpt)
-    moved = [w[0] << 8] + [w[k] << 8 | w[k - 1] >> 56 for k in (1, 2)]
-    rows = np.empty((out.size, 4), "<u8")
-    for k in range(3):
-        stay, upto = _BELOW[k, dpos], _BELOW[k, dpos + 1]
-        rows[:, k] = (w[k] & stay) | (_POINTS & upto & ~stay) | (moved[k] & ~upto)
-    return rows
+    np.copyto(dpos, decpt)
+    np.copyto(dpos, 1, where=frac)
+    np.copyto(dpos, 1, where=sci)
+    dpos += sign
+    np.left_shift(W, 8, out=M)
+    np.right_shift(W[:2], 56, out=T[:2])
+    M[1:] |= T[:2]
+    W ^= M
+    W &= np.take(_BELOW, dpos, axis=1, out=T, mode="clip")
+    W ^= M
+    np.bitwise_and(W, np.take(_BELOW, w.length, axis=1, out=T, mode="clip"),
+                   out=w.words)
+    dpos += w.start
+    w.flat[dpos] = ord(".")
 
 
-def _fields(values, seps):
-    """The bytes of ``repr(float(v)) + sep`` for each value and separator,
-    concatenated, as a uint8 array."""
-    size = values.size
-    bits = values.view(np.uint64)
-    special = (bits << 1) >= 0x7FF << 53  # inf, nan
-    plain = ~special & ((bits << 1) != 0)
-    nan = np.isnan(values)
-    sign = ((bits >> 63) & ~nan).astype(np.intp)
+def _fields(w, count):
+    """The bytes of ``repr(float(v)) + sep`` for the first ``count`` values
+    of ``w.vals`` and their separators, concatenated."""
+    vals, flat, start = w.vals, w.flat, w.start
+    out, decpt, n, length, pad = w.out, w.decpt, w.n, w.length, w.pad
+    sign, nan, finite, odd, sci, frac = w.flags[:6]
+    np.isnan(vals, out=nan)
+    np.signbit(vals, out=sign)
+    sign[nan] = False
+    np.isfinite(vals, out=finite)
+    np.equal(vals, 0.0, out=odd)
+    odd |= ~finite
 
     # Zero and the specials are laid out as "0.0", the specials then
-    # overwritten.
-    out = np.zeros(size, np.uint64)
-    exp10 = np.zeros(size, np.intp)
-    out[plain], exp10[plain] = _shortest(bits[plain])
-    n = np.maximum(np.searchsorted(_POW10, out, side="right"), 1)  # digits
-    decpt = exp10 + n  # the value is 0.d1d2...dn * 10**decpt
-    sci = (decpt <= -4) | (decpt > 16)
-    frac = ~sci & (decpt <= 0)  # 0.000ddd
-    length = sign + np.where(
-        sci,
-        n + (n > 1) + 4 + (np.abs(decpt - 1) >= 100),
-        n + 1 + np.maximum(1 - decpt, 0) + np.maximum(decpt + 1 - n, 0),
-    )
+    # overwritten; in Ryū 1.0 stands in for them.
+    vals[odd] = 1.0
+    _shortest(vals.view(np.uint64), w)
+    out[odd] = 0
+    n[:] = np.searchsorted(_POW10, out, side="right")  # digits
+    np.maximum(n, 1, out=n)
+    decpt += n  # the value is 0.d1d2...dn * 10**decpt
+    np.less_equal(decpt, -4, out=sci)
+    sci |= decpt > 16
+    np.less_equal(decpt, 0, out=frac)
+    frac[sci] = False  # 0.000ddd
+    # The sign and the zeros after it, then n digits or up to the point,
+    # the point, and one digit more.
+    np.subtract(1, decpt, out=pad)
+    pad *= frac
+    pad += sign
+    np.add(decpt, 1, out=length)
+    np.maximum(length, n, out=length)
+    length += pad
+    length += 1
+    idx = np.flatnonzero(sci)
+    a = np.abs(decpt[idx] - 1)
+    length[idx] = sign[idx] + n[idx] + (n[idx] > 1) + 4 + (a >= 100)
 
-    rows = _words(out, n, decpt, sign, frac, sci)
-    flat = rows.view(np.uint8).reshape(-1)
-    start = np.arange(size) * 32
+    w.slots[:, 3] = 0
+    _words(sign, frac, sci, w)
 
     # The exponent: 'e', its sign, then two digits or three; for one digit
     # the 'e' takes the place of the point.
-    idx = np.flatnonzero(sci)
-    if idx.size:
-        a = np.abs(decpt[idx] - 1)
-        e = start[idx] + sign[idx] + n[idx] + (n[idx] > 1)
-        flat[e] = ord("e")
-        flat[e + 1] = np.where(decpt[idx] > 0, ord("+"), ord("-"))
-        units = start[idx] + length[idx] - 1
-        flat[units] = a % 10 + ord("0")
-        flat[units - 1] = a // 10 % 10 + ord("0")
-        flat[units[a >= 100] - 2] = a[a >= 100] // 100 + ord("0")
+    e = start[idx] + sign[idx] + n[idx] + (n[idx] > 1)
+    flat[e] = ord("e")
+    flat[e + 1] = np.where(decpt[idx] > 0, ord("+"), ord("-"))
+    units = start[idx] + length[idx] - 1
+    flat[units] = a % 10 + ord("0")
+    flat[units - 1] = a // 10 % 10 + ord("0")
+    flat[units[a >= 100] - 2] = a[a >= 100] // 100 + ord("0")
 
-    for word, which in ((b"inf", special & ~nan), (b"nan", nan)):
+    idx = np.flatnonzero(~finite)
+    for word, which in ((b"inf", idx[~nan[idx]]), (b"nan", idx[nan[idx]])):
         for j, char in enumerate(word):
             flat[start[which] + sign[which] + j] = char
 
-    flat[start + length] = seps
-    return rows.view(np.uint8)[_COLUMNS <= length[:, None].astype(np.uint8)]
+    length += start
+    flat[length] = w.seps
+    w.slots[count:] = 0
+    return w.text.translate(None, b"\0")
+
+
+def csv_bytes(tables):
+    """Yield the CSV text of the rows of each table in ``tables``, an
+    iterable of sequences of equal-length 1-d float64 columns, the same
+    number in each, as a new bytearray for every ``_ROWS`` rows, all of
+    them computed in one workspace.  Each field is ``repr(float(v))``;
+    each row ends in a newline."""
+    w = None
+    for columns in tables:
+        columns = [np.asarray(c, dtype=np.float64) for c in columns]
+        if w is None:
+            w = _workspace(len(columns))
+        if w.size != _ROWS * len(columns):
+            raise ValueError("every table needs the same number of columns")
+        grid = w.vals.reshape(_ROWS, len(columns))
+        for start in range(0, len(columns[0]), _ROWS):
+            block = min(_ROWS, len(columns[0]) - start)
+            for j, c in enumerate(columns):
+                grid[:block, j] = c[start:start + block]
+            grid[block:] = 0.0
+            yield _fields(w, block * len(columns))
 
 
 def csv_rows(columns):
     """Yield the CSV text of the rows of ``columns``, equal-length 1-d
-    float64 arrays, a block of rows at a time.  Each field is
-    ``repr(float(v))``; each row ends in a newline."""
-    columns = [np.asarray(c, dtype=np.float64) for c in columns]
-    seps = np.full(len(columns), ord(","), np.uint8)
-    seps[-1] = ord("\n")
-    for start in range(0, len(columns[0]), _ROWS):
-        block = np.stack([c[start:start + _ROWS] for c in columns], axis=1)
-        text = _fields(block.reshape(-1), np.tile(seps, len(block))).tobytes()
+    float64 arrays, as str, ``_ROWS`` rows at a time."""
+    for text in csv_bytes([columns]):
         yield text.decode("ascii")

@@ -16,7 +16,8 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error (out
 of memory included), 3 numerical budget failure.  Reports are deterministic
 for a fixed seed (no timestamps).  CSV floats are the shortest text that
 reads back to the same double, byte for byte Python's ``repr``, formatted
-in bulk by :mod:`extremal._float_text`.
+in bulk by :mod:`extremal._float_text`, every row block in one reused
+workspace, and written as bytes.
 """
 
 from __future__ import annotations
@@ -25,13 +26,14 @@ import argparse
 import contextlib
 import json
 import sys
+import types
 
 import numpy as np
 from numpy.random import default_rng
 
 from . import hilbert as hb
 from . import integrals
-from ._float_text import csv_rows
+from ._float_text import csv_bytes
 from .fourier import band_limit_check, g_hat, numeric_ft, psi_hat
 from .majorants import (
     G_closed,
@@ -43,17 +45,28 @@ from .majorants import (
 from .quadrature import BudgetExceededError, ToleranceNotMetError
 
 _EVAL_TOL_RANGE = (1e-12, 1e-4)
-_CSV_BLOCK = 4096  # rows evaluated at a time (formatted in smaller blocks)
+# Rows evaluated at a time: one block of the CSV formatter, so that the
+# closed forms' temporaries stay small beside the formatter's workspace.
+_CSV_BLOCK = 1024
+_EVAL_COLUMNS = ("x", "G", "M", "B", "psi", "phi")
 
 
 @contextlib.contextmanager
-def _output(path):
-    """The report stream: stdout, or the file at ``path``."""
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
+def _output(path, binary=False):
+    """The report stream: stdout, or the file at ``path``; with ``binary``,
+    a stream that takes bytes."""
+    if path is not None:
+        with open(path, "wb" if binary else "w",
+                  encoding=None if binary else "utf-8") as fh:
             yield fh
+    elif not binary:
+        yield sys.stdout
+    elif hasattr(sys.stdout, "buffer"):
+        sys.stdout.flush()  # text already written goes first
+        yield sys.stdout.buffer
+    else:  # a text-only stream, such as io.StringIO
+        yield types.SimpleNamespace(
+            write=lambda text: sys.stdout.write(text.decode("ascii")))
 
 
 def _emit_json(report, path):
@@ -108,31 +121,30 @@ def cmd_eval(args):
     x = np.linspace(a, b, n)
 
     def table(xs):
-        # One table feeds the CSV header, the CSV rows and the JSON columns.
+        # One table feeds the CSV rows and the JSON columns, in the order
+        # of _EVAL_COLUMNS.
         G = G_closed(xs)
         M = 2.0 * G - 1.0
-        return {
-            "x": xs, "G": G, "M": M, "B": beurling_b(xs),
-            "psi": M - np.sign(xs), "phi": psi_closed(-xs),
-        }
+        return xs, G, M, beurling_b(xs), M - np.sign(xs), psi_closed(-xs)
 
     if args.format == "csv":
         # The closed forms are elementwise, so each row block is evaluated,
-        # formatted and written on its own: memory holds the grid and one
-        # block, whatever the grid size.
-        with _output(args.output) as fh:
-            for start in range(0, n, _CSV_BLOCK):
-                columns = table(x[start:start + _CSV_BLOCK])
-                if not start:
-                    fh.write(",".join(columns) + "\n")
-                fh.writelines(csv_rows(columns.values()))
+        # formatted and written on its own: memory holds the grid, one
+        # block and the formatter's workspace, whatever the grid size.
+        blocks = (table(x[start:start + _CSV_BLOCK])
+                  for start in range(0, n, _CSV_BLOCK))
+        with _output(args.output, binary=True) as fh:
+            fh.write((",".join(_EVAL_COLUMNS) + "\n").encode("ascii"))
+            for text in csv_bytes(blocks):
+                fh.write(text)
     else:
         report = {
             "command": "eval",
             "grid": {"start": a, "stop": b, "steps": n},
             "tolerance_requested": tol,
             "tolerance_achieved": 5e-14,  # closed forms; see the majorant tests
-            "columns": {name: c.tolist() for name, c in table(x).items()},
+            "columns": {name: c.tolist()
+                        for name, c in zip(_EVAL_COLUMNS, table(x))},
         }
         _emit_json(report, args.output)
     return 0

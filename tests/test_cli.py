@@ -1,6 +1,7 @@
 """Command-line interface: formats, round-trips, determinism, exit codes."""
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -80,8 +81,10 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "n",
-        [cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1,
-         2 * cli._CSV_BLOCK + 1],
+        # Either side of one and two row blocks, and of 4,096 rows (a
+        # multiple of the block, and the block size of earlier versions).
+        sorted({cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1,
+                2 * cli._CSV_BLOCK + 1, 4095, 4096, 4097, 8193}),
     )
     def test_csv_spanning_several_row_blocks(self, n, capsys):
         # The CSV is evaluated and written one row block at a time, the JSON
@@ -94,6 +97,15 @@ class TestEval:
         rows = zip(*(cols[name] for name in names))
         expected = [",".join(names)] + [",".join(repr(v) for v in row) for row in rows]
         assert out == "\n".join(expected) + "\n"
+
+    def test_csv_to_a_text_only_stream(self, capsys):
+        # The CSV goes to stdout's binary buffer; a stdout without one (an
+        # io.StringIO) gets the same text.
+        _, want, _ = run(capsys, "eval", "--grid=-5:5:1500")
+        stream = io.StringIO()
+        with contextlib.redirect_stdout(stream):
+            assert main(["eval", "--grid=-5:5:1500"]) == 0
+        assert stream.getvalue() == want
 
     @pytest.mark.parametrize("n", [100_001, 300_001])
     def test_csv_memory_is_bounded(self, n, tmp_path):

@@ -1,17 +1,19 @@
 """The bulk float formatter behind ``extremal eval``'s CSV, against ``repr``."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremal._float_text import _ROWS, csv_rows
+from extremal._float_text import _ROWS, csv_bytes, csv_rows
 
 
 def assert_repr(values):
     """Each value formats as ``repr(float(v))``, one per line."""
     values = np.asarray(values, dtype=np.float64)
-    got = "".join(csv_rows([values]))
+    got = b"".join(csv_bytes([[values]])).decode("ascii")
     want = "".join(f"{v!r}\n" for v in values.tolist())
     if got != want:
         pairs = [(w, g) for w, g in zip(want.splitlines(), got.splitlines()) if w != g]
@@ -82,6 +84,53 @@ def test_rows_across_blocks():
     want = "".join(",".join(map(repr, row)) + "\n"
                    for row in zip(*(c.tolist() for c in columns)))
     assert "".join(got) == want
+
+
+def test_tables_share_one_workspace():
+    # Tables of any length, blocks cut short included, give the rows of
+    # all the tables, formatted in the workspace of the first.
+    rng = np.random.default_rng(11)
+    rows = 3 * _ROWS + 5
+    columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, size=rows)
+               for _ in range(2)]
+    cuts = [0, 7, _ROWS + 7, _ROWS + 8, rows]
+    tables = ([c[a:b] for c in columns] for a, b in zip(cuts, cuts[1:]))
+    blocks = list(csv_bytes(tables))
+    assert [len(b.splitlines()) for b in blocks] == [7, _ROWS, 1, _ROWS, _ROWS - 3]
+    want = "".join(f"{a!r},{b!r}\n" for a, b in zip(*(c.tolist() for c in columns)))
+    assert b"".join(blocks).decode("ascii") == want
+    with pytest.raises(ValueError, match="same number of columns"):
+        list(csv_bytes([columns, columns[:1]]))
+
+
+def test_yielded_block_is_not_overwritten():
+    # A block's text stays as it was after the next block is formatted in
+    # the same workspace.
+    values = np.arange(2 * _ROWS, dtype=np.float64)
+    blocks = csv_bytes([[values]])
+    first = next(blocks)
+    kept = bytes(first)
+    second = next(blocks)
+    assert first == kept and first != second
+    assert kept.startswith(b"0.0\n1.0\n")
+
+
+def test_memory_does_not_grow_with_the_blocks():
+    # Past the first block every block is computed in the same workspace:
+    # three times the blocks peak within one text of the same memory.
+    values = np.random.default_rng(13).standard_normal(3 * 8 * _ROWS)
+    list(csv_bytes([[values[:_ROWS]]]))  # builds the lookup tables
+
+    def peak(blocks):
+        tracemalloc.start()
+        try:
+            size = max(len(text) for text in csv_bytes([[values[:blocks * _ROWS]]]))
+            return tracemalloc.get_traced_memory()[1], size
+        finally:
+            tracemalloc.stop()
+
+    (few, size), (many, _) = peak(8), peak(3 * 8)
+    assert abs(many - few) <= size
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=20))
