@@ -19,7 +19,7 @@ import pytest
 import extremal.hilbert as hb
 import extremal.cli as cli
 from extremal.cli import main
-from extremal.majorants import G_closed, M_closed, beurling_b
+from extremal.majorants import G_closed, M_closed, beurling_b, phi_closed, psi_closed
 
 
 def run(capsys, *argv):
@@ -40,11 +40,18 @@ class TestEval:
         code, out, _ = run(capsys, "eval", "--grid", "-2.5:3.5:13")
         assert code == 0
         reader = csv.DictReader(io.StringIO(out))
+        branches = set()
         for row in reader:
             x = float(row["x"])
             assert float(row["G"]) == G_closed(x)
             assert float(row["M"]) == M_closed(x)
             assert float(row["B"]) == beurling_b(x)
+            assert float(row["psi"]) == psi_closed(x)
+            assert float(row["phi"]) == phi_closed(x)
+            # G_closed calls si_cin at 2 pi x; its branches switch at 4 and 16.
+            z = abs(2.0 * math.pi * x)
+            branches.add("series" if z < 4.0 else "mid" if z < 16.0 else "far")
+        assert branches == {"series", "mid", "far"}
 
     def test_majorant_property_columnwise(self, capsys):
         _, out, _ = run(capsys, "eval", "--grid", "-5:5:11")
@@ -314,6 +321,24 @@ class TestSearch:
         code, _, _ = run(capsys, "search", "--mode", "remark", "--n", "33",
                          "--trials", "2", "--seed", "0")
         assert code == 2
+
+    def test_remark_duplicate_nodes_exit_2(self, capsys, monkeypatch):
+        # Two equal nodes planted in the second trial of a chunk.
+        sampler = hb._random_nodes
+        calls = []
+
+        def planted(rng, n):
+            lam = sampler(rng, n)
+            calls.append(n)
+            if len(calls) == 2:
+                lam[1] = lam[0]
+            return lam
+
+        monkeypatch.setattr(hb, "_random_nodes", planted)
+        code, _, err = run(capsys, "search", "--mode", "remark", "--n", "4",
+                           "--trials", "5", "--seed", "0")
+        assert code == 2
+        assert "too close" in err
 
     def test_output_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

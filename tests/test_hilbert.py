@@ -473,7 +473,7 @@ class TestTelescoping:
             n = int(rng.integers(2, 9))
             lam, a = random_instance(rng, n)
             ns = compute_deltas(lam)
-            got = hb._telescoping_complex(ns, a, majorant)
+            got = hb._telescoping_complex(ns.lambdas, ns.deltas, a, majorant)
             ref = telescoping_step_loop(ns, a, majorant)
             assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
 
@@ -539,6 +539,61 @@ class TestRemarkExperiment:
     def test_trials_validation(self):
         with pytest.raises(ValueError):
             remark_experiment(2, trials=0, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 32])
+    def test_chunked_trials_match_single_systems(self, n):
+        # Each chunk's stacked kernel sum gives, bit for bit, what the
+        # one-system call gives on the same draw, for trial counts one below,
+        # at and one above the chunk size.  The draws do not depend on the
+        # trial count, so one pass of single-system calls serves all three.
+        chunk = hb._KERNEL_ENTRIES // (n * n)
+        rng = np.random.default_rng(n)
+        values, residues = [], []
+        for _ in range(chunk + 1):
+            lam = hb._random_nodes(rng, n)
+            coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            ns = compute_deltas(lam)
+            total = hb._telescoping_complex(ns.lambdas, ns.deltas, coeffs, "BeurlingB")
+            values.append(float(total.real))
+            residues.append(abs(float(total.imag)))
+        for trials in (chunk - 1, chunk, chunk + 1):
+            rep = remark_experiment(n, trials=trials, seed=n)
+            assert rep["trial_values"] == values[:trials]
+            assert rep["max_imag_residue"] == max(residues[:trials])
+
+    def test_memory_does_not_grow_with_trials(self):
+        # Only the running minimum's system is kept: eight chunks of trials
+        # at N = 32 peak above one chunk by no more than the extra trial
+        # values, as the report's floats (kept systems would add about 1 kB
+        # a trial).
+        chunk = hb._KERNEL_ENTRIES // (32 * 32)
+        peaks = []
+        for trials in (chunk, 8 * chunk):
+            tracemalloc.start()
+            try:
+                remark_experiment(32, trials=trials, seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 7 * chunk * (sys.getsizeof(1.0) + 8)
+
+    def test_duplicate_nodes_in_a_chunk(self, monkeypatch):
+        # Safety check kept on the batch: the exact sampler never draws two
+        # equal nodes, so plant them in the third trial of a chunk.
+        sampler = hb._random_nodes
+        draws = []
+
+        def planted(rng, n):
+            lam = sampler(rng, n)
+            draws.append(lam)
+            if len(draws) == 3:
+                lam[2] = lam[1]
+            return lam
+
+        monkeypatch.setattr(hb, "_random_nodes", planted)
+        with pytest.raises(DuplicateNodesError) as info:
+            remark_experiment(5, trials=6, seed=0)
+        assert info.value.pair == (draws[2][1], draws[2][1])
 
 
 class TestConstantSearch:
