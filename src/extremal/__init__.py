@@ -13,7 +13,6 @@ constants.
 from .specfun import sinc, triangle, trigamma
 from .quadrature import (
     QuadResult,
-    BudgetExceededError,
     ToleranceNotMetError,
     integrate_adaptive,
 )
@@ -47,7 +46,6 @@ from .hilbert import (
     SELBERG_REPORTED,
     DuplicateNodesError,
     NodeSystem,
-    PowerIterationError,
     SpectralEstimate,
     bilinear_form,
     compute_deltas,
@@ -67,7 +65,6 @@ __all__ = [
     "triangle",
     "trigamma",
     "QuadResult",
-    "BudgetExceededError",
     "ToleranceNotMetError",
     "integrate_adaptive",
     "G_closed",
@@ -96,7 +93,6 @@ __all__ = [
     "SELBERG_REPORTED",
     "DuplicateNodesError",
     "NodeSystem",
-    "PowerIterationError",
     "SpectralEstimate",
     "bilinear_form",
     "compute_deltas",

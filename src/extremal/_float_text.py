@@ -29,10 +29,11 @@ import numpy as np
 
 __all__ = ["csv_bytes", "csv_rows"]
 
-# Rows formatted at a time.  The workspace takes 205 bytes a value, 1.26 MB
-# for eval's six columns.  With this and eval's row block at 2048 the peak
-# RSS of `extremal eval` on 100,001 points rose from 41.8 to 43.6 MB; at
-# 512 it fell to 41.0 MB, but eval took a quarter longer.
+# Rows formatted at a time, and the rows of each block eval evaluates.  The
+# workspace takes 205 bytes a value, 1.26 MB for eval's six columns.  With
+# this at 2048 the peak RSS of `extremal eval` on 100,001 points rose from
+# 41.8 to 43.6 MB; at 512 it fell to 41.0 MB, but eval took a quarter
+# longer.
 _ROWS = 1024
 
 _MANT_BITS = 52

@@ -13,11 +13,13 @@ The parser is built once, at import, and each ``cmd_*`` reads the parsed
 namespace.  Argument errors print argparse's usage line to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error (out
-of memory included), 3 numerical budget failure.  Reports are deterministic
-for a fixed seed (no timestamps).  CSV floats are the shortest text that
-reads back to the same double, byte for byte Python's ``repr``, formatted
-in bulk by :mod:`extremal._float_text`, every row block in one reused
-workspace, and written as bytes.
+of memory included), 3 numerical failure: a routine could not meet its
+tolerance within its budget (``ToleranceNotMetError``) or an arithmetic
+check failed.  Reports are deterministic for a fixed seed (no
+timestamps).  CSV floats are the shortest text that reads back to the
+same double, byte for byte Python's ``repr``, formatted in bulk by
+:mod:`extremal._float_text`, every row block in one reused workspace, and
+written as bytes.
 """
 
 from __future__ import annotations
@@ -33,21 +35,22 @@ from numpy.random import default_rng
 
 from . import hilbert as hb
 from . import integrals
-from ._float_text import csv_bytes
+from ._float_text import _ROWS, csv_bytes
 from .fourier import band_limit_check, g_hat, numeric_ft, psi_hat
 from .majorants import (
+    _TOL_MAX,
+    _TOL_MIN,
     G_closed,
     beurling_b,
     kernel_g,
     kernel_h,
     psi_closed,
 )
-from .quadrature import BudgetExceededError, ToleranceNotMetError
+from .quadrature import ToleranceNotMetError, check_tol
 
-_EVAL_TOL_RANGE = (1e-12, 1e-4)
 # Rows evaluated at a time: one block of the CSV formatter, so that the
 # closed forms' temporaries stay small beside the formatter's workspace.
-_CSV_BLOCK = 1024
+_CSV_BLOCK = _ROWS
 _EVAL_COLUMNS = ("x", "G", "M", "B", "psi", "phi")
 
 
@@ -113,11 +116,7 @@ def _parse_grid(text):
 
 def cmd_eval(args):
     a, b, n = args.grid
-    tol = args.tol
-    if not (_EVAL_TOL_RANGE[0] <= tol <= _EVAL_TOL_RANGE[1]):
-        raise ValueError(
-            f"tol must lie in [{_EVAL_TOL_RANGE[0]}, {_EVAL_TOL_RANGE[1]}]"
-        )
+    tol = check_tol(args.tol, _TOL_MIN, _TOL_MAX)
     x = np.linspace(a, b, n)
 
     def table(xs):
@@ -164,9 +163,7 @@ def _check(name, residual, limit):
 
 
 def cmd_verify(args):
-    tol = args.tol
-    if not 1e-10 <= tol <= 1e-4:
-        raise ValueError("verify tol must lie in [1e-10, 1e-4]")
+    tol = check_tol(args.tol, 1e-10, 1e-4)
     rng = default_rng(args.seed)
     checks = []
 
@@ -321,7 +318,6 @@ def cmd_hilbert(args):
             "value": estimate.constant,
             "iterations": estimate.iterations,
             "residual": estimate.residual,
-            "restarts": estimate.restarts,
         },
     }
 
@@ -440,8 +436,7 @@ def main(argv=None):
 
     try:
         return args.run(args)
-    except (BudgetExceededError, ToleranceNotMetError,
-            hb.PowerIterationError, ArithmeticError) as exc:
+    except (ToleranceNotMetError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

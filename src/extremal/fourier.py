@@ -31,7 +31,7 @@ from .majorants import (
     kernel_H,
     tail_transform,
 )
-from .quadrature import BudgetExceededError
+from .quadrature import ToleranceNotMetError, check_tol
 from .specfun import _as_array, sinc
 
 __all__ = [
@@ -264,10 +264,12 @@ def numeric_ft(function_kind, t, tol=1e-7):
     Filon panels on [-64, 64] plus closed-form channel tails.  ``t`` may
     be a scalar (returns a Python ``complex``) or an array of frequencies
     (returns a complex array of the same shape); every entry must be
-    finite.  Raises :class:`extremal.quadrature.BudgetExceededError` if the
-    fixed scheme cannot certify ``tol`` at some frequency.  The scheme's
+    finite.  Raises :class:`extremal.quadrature.ToleranceNotMetError` if the
+    fixed scheme cannot certify ``tol`` at some frequency, carrying the
+    values, the largest estimate and the kernel evaluations.  The scheme's
     estimate is 2e-11 to 1.2e-10, nearly all of it Filon interpolation (the
-    tails add below 1e-15), so every admissible ``tol`` is met.
+    tails add below 1e-15), so every admissible ``tol`` (``>= 1e-8``) is
+    met.
     """
     if function_kind not in _PUBLIC_FT_KINDS:
         raise ValueError(
@@ -277,9 +279,7 @@ def numeric_ft(function_kind, t, tol=1e-7):
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ValueError("t must be finite")
-    tol = float(tol)
-    if not tol >= 1e-8:
-        raise ValueError("tol must be >= 1e-8")
+    tol = check_tol(tol, 1e-8)
 
     central, est, n_evals = _filon_central(function_kind, arr)
     right, err_r = tail_transform(function_kind, TAIL_CUTOFF, arr, "right")
@@ -287,11 +287,9 @@ def numeric_ft(function_kind, t, tol=1e-7):
     value = central + right + left
     est_total = float(np.max(est + err_r + err_l + 1e-15 * np.abs(value), initial=0.0))
     if est_total > tol:
-        raise BudgetExceededError(
+        raise ToleranceNotMetError(
             f"fixed Filon scheme achieves {est_total:g} > requested {tol:g}",
-            value=value,
-            err_estimate=est_total,
-            evaluations=n_evals,
+            value, est_total, n_evals,
         )
     return value
 

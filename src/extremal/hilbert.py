@@ -9,7 +9,9 @@ which is purely imaginary, and the inequality |Phi(a)| <= C sum |a_n|^2 / delta_
 The best constant for a fixed node set is the spectral radius of the
 Hermitian matrix i * [sqrt(delta_n delta_m) / (lambda_m - lambda_n)], computed
 here by one Lanczos solve on the square of the underlying antisymmetric
-matrix and certified by a Hermitian residual bound.  The frequency-domain
+matrix and certified by a Hermitian residual bound; a solve that cannot
+meet its ``tol`` raises :class:`extremal.quadrature.ToleranceNotMetError`,
+like every certified routine of the package.  The frequency-domain
 telescoping sum that proves the C = 2*pi bound is implemented as an
 executable identity, for both the monotone majorant M and the interpolating
 majorant B, each through its closed-form deficit transform.  Its steps
@@ -46,12 +48,12 @@ import numpy as np
 from numpy.random import default_rng
 
 from .fourier import psi_beurling_hat, psi_hat
+from .quadrature import ToleranceNotMetError, check_tol
 
 __all__ = [
     "NodeSystem",
     "SpectralEstimate",
     "DuplicateNodesError",
-    "PowerIterationError",
     "compute_deltas",
     "bilinear_form",
     "weighted_norm",
@@ -93,16 +95,6 @@ class DuplicateNodesError(ValueError):
         )
 
 
-class PowerIterationError(RuntimeError):
-    """The sharp-constant solve ran out of operator applications or could not
-    certify its value within ``tol``; carries the best estimate."""
-
-    def __init__(self, message, estimate, iterations):
-        super().__init__(message)
-        self.estimate = estimate
-        self.iterations = iterations
-
-
 @dataclass(frozen=True)
 class NodeSystem:
     """Distinct nodes, their nearest-neighbor separations, and the
@@ -124,17 +116,12 @@ class NodeSystem:
 @dataclass(frozen=True)
 class SpectralEstimate:
     """Sharp-constant estimate with convergence metadata and a witness
-    coefficient vector achieving (up to ``residual``) the reported ratio.
-
-    ``restarts`` is always 0: the solve never redraws its start vector
-    (ARPACK's implicit restarts stay inside the one solve).  The field stays
-    so that reports keep their schema."""
+    coefficient vector achieving (up to ``residual``) the reported ratio."""
 
     constant: float
     iterations: int
     residual: float
     witness: np.ndarray = field(repr=False)
-    restarts: int = 0
 
 
 def _finite(arr, what):
@@ -265,27 +252,27 @@ def sharp_constant(nodes, tol=1e-10, seed=0, max_iterations=100_000):
     a floating-point floor n * eps * mu for the rounding in the matrix
     products.  ``iterations`` counts applications of v -> -A(Av).
 
-    Raises :class:`PowerIterationError` when the solve needs more than
-    ``max_iterations`` applications (carrying sqrt of the Rayleigh quotient
-    of the latest vector) or when the residual bound exceeds ``tol``: no
-    uncertified value is returned.
+    Raises :class:`extremal.quadrature.ToleranceNotMetError` when the solve
+    needs more than ``max_iterations`` applications or when the residual
+    bound exceeds ``tol``: no uncertified value is returned.  It carries
+    sqrt of the Rayleigh quotient of the latest vector as ``value``, the
+    residual bound as ``err_estimate`` (``inf`` if none was taken) and the
+    applications as ``evaluations``.
     """
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
-    tol = float(tol)
-    if not tol >= 1e-12:
-        raise ValueError("tol must be >= 1e-12")
+    tol = check_tol(tol, 1e-12)
     n = len(nodes)
     apply_A = _antisym_apply(nodes)
     applications = 0
     rayleigh = 0.0
     Av = None
 
-    def fail(message):
-        return PowerIterationError(
-            f"{message} (last estimate {math.sqrt(rayleigh):.12g})",
-            estimate=math.sqrt(rayleigh),
-            iterations=applications,
+    def fail(message, residual=math.inf):
+        estimate = math.sqrt(rayleigh)
+        return ToleranceNotMetError(
+            f"{message} (last estimate {estimate:.12g})",
+            estimate, residual, applications,
         )
 
     def apply_square(v):
@@ -315,7 +302,7 @@ def sharp_constant(nodes, tol=1e-10, seed=0, max_iterations=100_000):
     residual = (float(np.linalg.norm(sq - rayleigh * b)) / (mu * math.sqrt(2.0))
                 + n * float(np.finfo(float).eps) * mu)
     if residual > tol:
-        raise fail(f"residual bound {residual:.3g} exceeds tol {tol:.3g}")
+        raise fail(f"residual bound {residual:.3g} exceeds tol {tol:.3g}", residual)
 
     return SpectralEstimate(
         constant=mu,

@@ -6,8 +6,10 @@ of the range inside [-T, T], T = :data:`extremal.majorants.TAIL_CUTOFF` =
 64, plus the closed-form channel tails beyond it.  The tails are exact to
 far below any admissible tolerance at that T, so T does not depend on
 ``tol``; the cost follows ``tol`` through the adaptive refinement.  Both
-raise :class:`extremal.quadrature.ToleranceNotMetError` when the budget
-runs out or the error estimate exceeds the tolerance.
+take ``tol >= 1e-10`` and raise
+:class:`extremal.quadrature.ToleranceNotMetError`, carrying the value, the
+estimate and the integrand evaluations, when the budget runs out or the
+error estimate exceeds the tolerance.
 """
 
 from __future__ import annotations
@@ -17,21 +19,15 @@ import math
 import numpy as np
 
 from .majorants import eval_kernel, line_integral
+from .quadrature import check_tol
 
 __all__ = ["integrate_with_tails", "poisson_check", "half_line_moments"]
-
-
-def _checked_tol(tol):
-    tol = float(tol)
-    if not tol >= 1e-10:
-        raise ValueError("tol must be >= 1e-10")
-    return tol
 
 
 def integrate_with_tails(kernel_kind, tol=1e-8, max_evals=10_000_000):
     """Full-line integral of g, H, psi or G - x_+^0 with certified tails."""
     return line_integral(
-        kernel_kind, -math.inf, math.inf, _checked_tol(tol), max_evals
+        kernel_kind, -math.inf, math.inf, check_tol(tol, 1e-10), max_evals
     )
 
 
@@ -65,7 +61,7 @@ def half_line_moments(tol=1e-8):
     -g), and the summed ``err_estimate`` of the four integrals, each taken
     to ``tol / 2``.  Used by the verification suite.
     """
-    tol = 0.5 * _checked_tol(tol)
+    tol = 0.5 * check_tol(tol, 1e-10)
     parts = {
         "negative_axis_G_integral": ("G_minus_heaviside", -math.inf, 0.0),
         "negative_axis_moment": ("H", -math.inf, 0.0),

@@ -34,9 +34,9 @@ import math
 import numpy as np
 
 from .quadrature import (
-    BudgetExceededError,
     QuadResult,
     ToleranceNotMetError,
+    check_tol,
     integrate_adaptive,
     modulated_tail,
 )
@@ -232,11 +232,9 @@ def beurling_b(x):
     val = np.empty_like(xm)
     pos = xm > 0.0
     xp = xm[pos]
-    if xp.size:
-        val[pos] = 1.0 - coef[pos] * (trigamma(xp + 1.0) - 1.0 / xp)
+    val[pos] = 1.0 - coef[pos] * (trigamma(xp + 1.0) - 1.0 / xp)
     xn = xm[~pos]
-    if xn.size:
-        val[~pos] = -1.0 + coef[~pos] * (trigamma(-xn) + 1.0 / xn)
+    val[~pos] = -1.0 + coef[~pos] * (trigamma(-xn) + 1.0 / xn)
     out[rest] = val
 
     out = out.reshape(arr.shape)
@@ -408,8 +406,8 @@ def line_integral(kind, a, b, tol, max_evals=10_000_000):
     difference tail(X_near) - tail(X_far), with the far term dropped at an
     infinite end.  Returns a :class:`QuadResult` whose estimate sums the
     quadrature and tail bounds.  Raises :class:`ToleranceNotMetError`,
-    carrying the value and the estimate, when the evaluation budget runs
-    out or the estimate exceeds ``tol``.
+    carrying the value, the estimate and the integrand evaluations, when
+    the evaluation budget runs out or the estimate exceeds ``tol``.
     """
     if kind not in _LINE_INTEGRANDS:
         raise ValueError(
@@ -426,7 +424,7 @@ def line_integral(kind, a, b, tol, max_evals=10_000_000):
                 _LINE_INTEGRANDS[kind], lo, hi, 0.5 * tol, max_evals,
                 initial_panel_width=_PANEL_WIDTH,
             )
-        except BudgetExceededError as exc:
+        except ToleranceNotMetError as exc:
             quad = exhausted = exc
     value, est = quad.value, quad.err_estimate
     # Each side as a range of |x|: [near, far] with near >= T.
@@ -441,20 +439,14 @@ def line_integral(kind, a, b, tol, max_evals=10_000_000):
     if exhausted is not None or est > tol:
         reason = "quadrature budget exhausted" if exhausted else "tolerance not met"
         raise ToleranceNotMetError(
-            f"{reason}: achieved {est:g}, requested {tol:g}", value, est
+            f"{reason}: achieved {est:g}, requested {tol:g}",
+            value, est, quad.evaluations,
         ) from exhausted
     return QuadResult(value, est, quad.evaluations)
 
 
 # ---------------------------------------------------------------------------
 # Scalar evaluators with tolerance contracts.
-
-def _check_tol(tol):
-    tol = float(tol)
-    if not (_TOL_MIN <= tol <= _TOL_MAX):
-        raise ValueError(f"tol must lie in [{_TOL_MIN}, {_TOL_MAX}]")
-    return tol
-
 
 def _check_x(x):
     x = float(x)
@@ -472,14 +464,15 @@ def eval_G(x, tol=1e-8, max_evals=10_000_000):
     achieved estimate) if the budget runs out before the tolerance is met.
     """
     return line_integral(
-        "g", -math.inf, _check_x(x), _check_tol(tol), max_evals
+        "g", -math.inf, _check_x(x), check_tol(tol, _TOL_MIN, _TOL_MAX),
+        max_evals,
     ).value
 
 
 def eval_majorant(kind, x, tol=1e-8):
     """Evaluate one of {G, M, BeurlingB, MinorantOfSgn} at scalar x."""
     x = _check_x(x)
-    tol = _check_tol(tol)
+    tol = check_tol(tol, _TOL_MIN, _TOL_MAX)
     if kind == "G":
         return eval_G(x, tol)
     if kind == "M":

@@ -17,6 +17,12 @@ phase exp(2 pi i x) of the kernels, P(x) + Re(exp(2 pi i x) A(x)) with
 two such series.  Kernel-specific envelope series live next to the
 kernels in :mod:`extremal.majorants`; this module only knows the generic
 machinery.
+
+Every certified routine of the package (this quadrature, the line
+integrals built on it, the Filon transform, the sharp-constant solve)
+checks its ``tol`` range through :func:`check_tol` and refuses through
+:class:`ToleranceNotMetError` when it cannot meet ``tol`` within its
+budget.
 """
 
 from __future__ import annotations
@@ -30,8 +36,8 @@ from .specfun import expint_en
 
 __all__ = [
     "QuadResult",
-    "BudgetExceededError",
     "ToleranceNotMetError",
+    "check_tol",
     "integrate_adaptive",
     "tail_channel",
     "modulated_tail",
@@ -80,6 +86,9 @@ _W_K = np.concatenate([_WGK[:-1], [_WGK[-1]], _WGK[-2::-1]])
 _W_G = np.zeros(15)
 _W_G[1:-1:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 
+# The least positive double: a tol of at least this is a tol > 0.
+_LEAST_POSITIVE = math.ulp(0.0)
+
 
 @dataclass(frozen=True)
 class QuadResult:
@@ -90,10 +99,14 @@ class QuadResult:
     evaluations: int
 
 
-class BudgetExceededError(RuntimeError):
-    """Raised when an evaluation budget runs out before the tolerance is met.
+class ToleranceNotMetError(RuntimeError):
+    """Raised when a certified routine cannot meet its ``tol`` within its
+    budget: adaptive or fixed quadrature, a Fourier transform, a spectral
+    solve.
 
-    Carries the best available ``value``/``err_estimate``/``evaluations``.
+    Carries the best ``value`` reached, its ``err_estimate`` and the
+    ``evaluations`` spent on it (integrand evaluations or operator
+    applications).
     """
 
     def __init__(self, message, value, err_estimate, evaluations):
@@ -103,16 +116,27 @@ class BudgetExceededError(RuntimeError):
         self.evaluations = evaluations
 
 
-class ToleranceNotMetError(RuntimeError):
-    """Raised when a fixed-effort scheme cannot certify the requested tolerance.
+def check_tol(tol, least, most=math.inf):
+    """``tol`` as a float, or ValueError unless ``least <= tol <= most``
+    (NaN fails every range)."""
+    tol = float(tol)
+    if not least <= tol <= most:
+        bound = f"lie in [{least:g}, {most:g}]" if most < math.inf else f"be >= {least:g}"
+        raise ValueError(f"tol must {bound}, got {tol!r}")
+    return tol
 
-    Carries the computed ``value`` and the achieved ``err_estimate``.
-    """
 
-    def __init__(self, message, value, err_estimate):
-        super().__init__(message)
-        self.value = value
-        self.err_estimate = err_estimate
+def _kronrod(f, left, right):
+    """K15 values and |K15 - G7| error estimates of ``f`` on the panels
+    [left, right], all evaluated in one call of ``f``."""
+    centers = 0.5 * (left + right)
+    half = 0.5 * (right - left)
+    x = (centers[:, None] + half[:, None] * _NODES[None, :]).ravel()
+    fx = np.asarray(f(x), dtype=float).reshape(left.size, 15)
+    if not np.all(np.isfinite(fx)):
+        raise ValueError("integrand returned a non-finite value")
+    k15 = half * (fx @ _W_K)
+    return k15, np.abs(k15 - half * (fx @ _W_G))
 
 
 def integrate_adaptive(
@@ -128,17 +152,16 @@ def integrate_adaptive(
     Panels whose Kronrod-Gauss discrepancy exceeds their proportional
     share ``tol * width / (b - a)`` are bisected; all pending panels are
     evaluated together, so ``f`` must accept an ndarray.  The result is
-    deterministic (fixed node order, compensated final summation).
+    deterministic (fixed node order, correctly rounded final summation).
 
-    Raises :class:`BudgetExceededError` once more than ``max_evals``
+    Raises :class:`ToleranceNotMetError` once more than ``max_evals``
     integrand evaluations would be needed, carrying the best estimate.
     """
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_adaptive requires finite endpoints")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    tol = check_tol(tol, _LEAST_POSITIVE)
     if b == a:
         return QuadResult(0.0, 0.0, 0)
     if b < a:
@@ -154,72 +177,52 @@ def integrate_adaptive(
     left = edges[:-1]
     right = edges[1:]
 
-    done_vals = []  # (left_edge, k15, err)
+    # k15 and err of the accepted panels, one array per generation: fsum is
+    # correctly rounded, so the order of the panels cannot change a bit.
+    k15_done, err_done = [], []
     evaluations = 0
     min_width = 1e-14 * max(abs(a), abs(b), 1.0)
-    # Coarse value/error of the regions still pending, carried from the
-    # parents bisected in the previous generation so a budget stop can
-    # report an estimate without spending further evaluations.
-    pending_value = 0.0
-    pending_err = math.inf
+    # k15 and err of the regions still pending, as their parents gave them
+    # in the previous generation, so a budget stop can report an estimate
+    # without spending further evaluations.
+    pending = None
 
     while left.size:
         cost = 15 * left.size
         if evaluations + cost > max_evals:
-            if math.isinf(pending_err):
+            if pending is None:
                 # Budget cannot even cover the initial mesh: take one coarse
                 # pass over however many equal panels still fit.
                 k = max(1, min(max_evals, 10_000 * 15) // 15)
                 edges = np.linspace(a, b, k + 1)
-                cl, cr = edges[:-1], edges[1:]
-                centers = 0.5 * (cl + cr)
-                half = 0.5 * (cr - cl)
-                fx = np.asarray(
-                    f((centers[:, None] + half[:, None] * _NODES[None, :]).ravel()),
-                    dtype=float,
-                ).reshape(k, 15)
-                pending_value = math.fsum(half * (fx @ _W_K))
-                pending_err = math.fsum(np.abs(half * (fx @ _W_K) - half * (fx @ _W_G)))
+                pending = _kronrod(f, edges[:-1], edges[1:])
                 evaluations += 15 * k
-            done_vals.sort(key=lambda it: it[0])
-            raise BudgetExceededError(
+            raise ToleranceNotMetError(
                 f"evaluation budget {max_evals} exhausted on [{a}, {b}]",
-                value=math.fsum(it[1] for it in done_vals) + pending_value,
-                err_estimate=math.fsum(it[2] for it in done_vals) + pending_err,
-                evaluations=evaluations,
+                math.fsum(np.concatenate(k15_done + [pending[0]])),
+                math.fsum(np.concatenate(err_done + [pending[1]])),
+                evaluations,
             )
         evaluations += cost
 
-        centers = 0.5 * (left + right)
-        half = 0.5 * (right - left)
-        x = (centers[:, None] + half[:, None] * _NODES[None, :]).ravel()
-        fx = np.asarray(f(x), dtype=float).reshape(left.size, 15)
-        if not np.all(np.isfinite(fx)):
-            raise ValueError("integrand returned a non-finite value")
-        k15 = half * (fx @ _W_K)
-        g7 = half * (fx @ _W_G)
-        err = np.abs(k15 - g7)
-
+        k15, err = _kronrod(f, left, right)
         width = right - left
-        allow = tol * width / span
-        accept = (err <= allow) | (width <= min_width)
-
-        for i in np.flatnonzero(accept):
-            done_vals.append((left[i], k15[i], err[i]))
+        accept = (err <= tol * width / span) | (width <= min_width)
+        k15_done.append(k15[accept])
+        err_done.append(err[accept])
 
         keep = ~accept
-        pending_value = math.fsum(k15[keep])
-        pending_err = math.fsum(err[keep])
+        pending = k15[keep], err[keep]
         l_k = left[keep]
         r_k = right[keep]
         mid = 0.5 * (l_k + r_k)
         left = np.concatenate([l_k, mid])
         right = np.concatenate([mid, r_k])
 
-    done_vals.sort(key=lambda it: it[0])
-    value = math.fsum(it[1] for it in done_vals)
-    err_total = math.fsum(it[2] for it in done_vals)
-    err_total += 5e-16 * math.fsum(abs(it[1]) for it in done_vals)
+    k15 = np.concatenate(k15_done)
+    value = math.fsum(k15)
+    err_total = math.fsum(np.concatenate(err_done))
+    err_total += 5e-16 * math.fsum(np.abs(k15))
     return QuadResult(value, err_total, evaluations)
 
 

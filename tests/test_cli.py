@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import functools
 import io
 import json
 import math
@@ -16,8 +17,10 @@ import warnings
 import numpy as np
 import pytest
 
+import extremal.fourier as fourier
 import extremal.hilbert as hb
 import extremal.cli as cli
+import extremal.integrals as integrals
 from extremal.cli import main
 from extremal.majorants import G_closed, M_closed, beurling_b, phi_closed, psi_closed
 
@@ -156,8 +159,10 @@ class TestEval:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_bad_tol_exits_2(self, capsys):
-        code, _, _ = run(capsys, "eval", "--grid", "0:1:2", "--tol", "1e-15")
-        assert code == 2
+        for tol in ("1e-15", "1e-3", "nan"):
+            code, _, err = run(capsys, "eval", "--grid", "0:1:2", "--tol", tol)
+            assert code == 2
+            assert "tol" in err
 
     def test_bad_format_exits_2(self, capsys):
         code, _, err = run(capsys, "eval", "--grid", "0:1:2", "--format", "xml")
@@ -200,6 +205,12 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "--seed", "7")
         assert out1 == out2
 
+    def test_bad_tol_exits_2(self, capsys):
+        for tol in ("1e-11", "1e-3", "nan"):
+            code, out, err = run(capsys, "verify", "--tol", tol)
+            assert code == 2
+            assert out == "" and "tol" in err
+
     def test_seed_changes_random_sections(self, capsys):
         _, out1, _ = run(capsys, "verify", "--seed", "1")
         _, out2, _ = run(capsys, "verify", "--seed", "2")
@@ -239,6 +250,23 @@ class TestHilbert:
         assert margins["user"] == pytest.approx(6.5 * 8.0 - 8.0, rel=1e-12)
         assert margins["fourier_2pi"] > 0.0
 
+    def test_report_keys(self, tmp_path, capsys):
+        # The report's schema, in its order: a change to it is a contract
+        # change and shows up here.
+        nodes = self.write_nodes(tmp_path, "0.0\n0.25\n1.0\n")
+        coeffs = tmp_path / "coeffs.txt"
+        coeffs.write_text("1.0,0.0\n0.0,1.0\n2.0,-1.0\n")
+        head = ["command", "n_nodes", "lambdas", "deltas", "order", "sharp_constant"]
+        _, out, _ = run(capsys, "hilbert", "--nodes", nodes)
+        assert list(json.loads(out)) == head
+        _, out, _ = run(capsys, "hilbert", "--nodes", nodes, "--coeffs", str(coeffs),
+                        "--constant", "4")
+        rep = json.loads(out)
+        assert list(rep) == head + ["bilinear_form", "weighted_sum", "margins"]
+        assert list(rep["sharp_constant"]) == ["value", "iterations", "residual"]
+        assert list(rep["bilinear_form"]) == ["re", "im"]
+        assert list(rep["margins"]) == ["schur_pi", "preissmann", "fourier_2pi", "user"]
+
     def test_two_node_sharp_constant_is_one(self, tmp_path, capsys):
         nodes = self.write_nodes(tmp_path, "0.0\n1.0\n")
         _, out, _ = run(capsys, "hilbert", "--nodes", nodes)
@@ -267,17 +295,6 @@ class TestHilbert:
         coeffs.write_text("1.0,0.0\n1.0\n")
         code, _, err = run(capsys, "hilbert", "--nodes", nodes, "--coeffs", str(coeffs))
         assert code == 2
-
-    def test_numerical_failure_exit_3(self, tmp_path, capsys, monkeypatch):
-        nodes = self.write_nodes(tmp_path, "0.0\n1.0\n")
-
-        def exploding(*args, **kwargs):
-            raise hb.PowerIterationError("no convergence", estimate=0.9, iterations=10)
-
-        monkeypatch.setattr(hb, "sharp_constant", exploding)
-        code, _, err = run(capsys, "hilbert", "--nodes", nodes)
-        assert code == 3
-        assert "no convergence" in err
 
     def test_nan_tol_exits_2(self, tmp_path, capsys):
         nodes = self.write_nodes(tmp_path, "0.0\n1.0\n")
@@ -350,6 +367,44 @@ class TestSearch:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize(
+        "site", ["integrate_adaptive", "numeric_ft", "sharp_constant"]
+    )
+    def test_numerical_failure_exit_3(self, site, tmp_path, capsys, monkeypatch):
+        # Each certified routine refuses at its own raise site, given a
+        # budget too small for its tol; every refusal is exit 3.
+        if site == "integrate_adaptive":
+            # verify's first integral on an 800-evaluation budget.
+            with_tails = integrals.integrate_with_tails
+            monkeypatch.setattr(
+                integrals, "integrate_with_tails",
+                lambda kind, tol: with_tails(kind, tol, max_evals=800),
+            )
+            argv, message = ["verify"], "quadrature budget exhausted"
+        elif site == "numeric_ft":
+            # verify's band checks, with a Filon estimate far above tol.
+            panel_data = fourier._panel_data
+
+            def coarse(kind):
+                mono, _, evaluations = panel_data(kind)
+                return mono, 1.0, evaluations
+
+            monkeypatch.setattr(fourier, "_panel_data", coarse)
+            argv, message = ["verify"], "fixed Filon scheme"
+        else:
+            # Three operator applications cannot converge at N = 64.
+            monkeypatch.setattr(
+                hb, "sharp_constant",
+                functools.partial(hb.sharp_constant, max_iterations=3),
+            )
+            nodes = tmp_path / "nodes.txt"
+            nodes.write_text("".join(f"{k}.0\n" for k in range(1, 65)))
+            argv, message = ["hilbert", "--nodes", str(nodes)], "no convergence"
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("numerical failure:") and message in err
+
     def test_no_command_exit_2(self, capsys):
         assert main([]) == 2
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import extremal.fourier as fourier
 from extremal.fourier import (
     _filon_central,
     band_limit_check,
@@ -19,7 +20,7 @@ from extremal.fourier import (
     psi_hat_scaled,
 )
 from extremal.majorants import TAIL_CUTOFF, tail_transform
-from extremal.quadrature import BudgetExceededError
+from extremal.quadrature import ToleranceNotMetError
 from extremal.specfun import triangle
 
 
@@ -210,10 +211,28 @@ class TestNumericFT:
         # accuracy must cover the true error.
         try:
             value = numeric_ft("psi", t, tol=tol)
-        except BudgetExceededError as exc:
+        except ToleranceNotMetError as exc:
             assert exc.err_estimate >= abs(exc.value - psi_hat(t))
         else:
             assert abs(value - psi_hat(t)) <= tol
+
+    def test_refusal_payload(self, monkeypatch):
+        # A Filon estimate above tol is refused with the values, the
+        # estimate and the kernel evaluations behind them.
+        panel_data = fourier._panel_data
+
+        def coarse(kind):
+            mono, _, evaluations = panel_data(kind)
+            return mono, 1e-3, evaluations
+
+        monkeypatch.setattr(fourier, "_panel_data", coarse)
+        t = np.array([0.3, 2.0])
+        with pytest.raises(ToleranceNotMetError) as info:
+            numeric_ft("g", t)
+        err = info.value
+        assert np.array_equal(err.value, numeric_ft("g", t, tol=1e-2))
+        assert err.err_estimate > 1e-3
+        assert err.evaluations == 5632  # 512 panels of 11 Chebyshev nodes
 
     def test_psi_small_frequencies_meet_tight_tol(self):
         # The tightest tol holds down to t = 0 instead of being refused.

@@ -240,7 +240,7 @@ class TestEvalG:
         cheap, tight = evaluations
         assert cheap < tight
 
-    @pytest.mark.parametrize("tol", [1e-13, 1e-3, 0.0, -1.0])
+    @pytest.mark.parametrize("tol", [1e-13, 1e-3, 0.0, -1.0, math.nan])
     def test_tolerance_validation(self, tol):
         with pytest.raises(ValueError):
             eval_G(0.0, tol=tol)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extremal.quadrature import (
-    BudgetExceededError,
     QuadResult,
+    ToleranceNotMetError,
     integrate_adaptive,
     modulated_tail,
     tail_channel,
@@ -75,7 +75,7 @@ class TestIntegrateAdaptive:
         assert a.value == b.value and a.evaluations == b.evaluations
 
     def test_budget_error_payload(self):
-        with pytest.raises(BudgetExceededError) as info:
+        with pytest.raises(ToleranceNotMetError) as info:
             integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 1000.0, 1e-13, max_evals=600)
         err = info.value
         assert err.evaluations <= 600 + 15
