@@ -13,15 +13,22 @@ of s on [-1, 1], at the Chebyshev points of the first kind:
 * ``_AUX_MID``: x in [4, 16], s = 4 / x in [1/4, 1], u = (32 / x - 5) / 3;
 * ``_AUX_FAR``: x in [16, inf), s = 16 / x in (0, 1], u = 32 / x - 1.
 
-Function values and coefficients are computed in mpmath at 40 digits and
-rounded once to double, so the output does not depend on the platform's
-floating point or BLAS.  The script prints Python source that
-``specfun`` embeds verbatim:
+Function values and Chebyshev coefficients are computed in mpmath at 40
+digits and rounded once to double; numpy's ``cheb2poly`` then converts each
+row to monomial coefficients in u, which is what ``specfun`` evaluates by
+Horner's rule.  The conversion is plain double arithmetic with no BLAS, so
+the output does not depend on the platform.  The script prints the monomial
+tables as Python source that ``specfun`` embeds verbatim; with ``--chebyshev``
+it prints the Chebyshev rows instead, which tests/test_specfun.py holds to
+check the embedded tables bit for bit:
 
-    python3 scripts/sici_tables.py
+    python3 scripts/sici_tables.py [--chebyshev]
 """
 
+import sys
+
 import mpmath as mp
+from numpy.polynomial.chebyshev import cheb2poly
 
 DIGITS = 40
 # (name, a, s range, degree): the smallest degrees that keep f and g within
@@ -57,13 +64,21 @@ def chebyshev_table(a, s_range, degree):
     return tuple(table)
 
 
-def source():
-    """The tables as the Python source embedded in ``specfun``."""
+def monomial(table):
+    """Each row of a Chebyshev table in the monomial basis."""
+    return tuple(tuple(float(c) for c in cheb2poly(row)) for row in table)
+
+
+def source(chebyshev=False):
+    """The monomial tables as the Python source embedded in ``specfun``, or
+    with ``chebyshev`` the Chebyshev rows they come from."""
     lines = []
     with mp.workdps(DIGITS):
         for name, a, s_range, degree in TABLES:
             lines.append(f"{name} = (")
             table = chebyshev_table(a, s_range, degree)
+            if not chebyshev:
+                table = monomial(table)
             for label, coeffs in zip(("x f(x)", "x^2 g(x)"), table):
                 lines.append(f"    (  # {label}")
                 for i in range(0, len(coeffs), 3):
@@ -75,4 +90,4 @@ def source():
 
 
 if __name__ == "__main__":
-    print(source())
+    print(source(chebyshev="--chebyshev" in sys.argv[1:]))

@@ -18,8 +18,9 @@ tolerance within its budget (``ToleranceNotMetError``) or an arithmetic
 check failed.  Reports are deterministic for a fixed seed (no
 timestamps).  CSV floats are the shortest text that reads back to the
 same double, byte for byte Python's ``repr``, formatted in bulk by
-:mod:`extremal._float_text`, every row block in one reused workspace, and
-written as bytes.
+:mod:`extremal._float_text` (imported by ``eval`` alone), every row block
+in one reused workspace, and written as bytes.  Seeded draws come from
+:mod:`extremal._draws`, the standard library's Mersenne Twister.
 """
 
 from __future__ import annotations
@@ -31,26 +32,22 @@ import sys
 import types
 
 import numpy as np
-from numpy.random import default_rng
 
 from . import hilbert as hb
 from . import integrals
-from ._float_text import _ROWS, csv_bytes
+from ._draws import Draws
 from .fourier import band_limit_check, g_hat, numeric_ft, psi_hat
 from .majorants import (
     _TOL_MAX,
     _TOL_MIN,
-    G_closed,
+    M_closed,
     beurling_b,
+    closed_columns,
     kernel_g,
     kernel_h,
-    psi_closed,
 )
 from .quadrature import ToleranceNotMetError, check_tol
 
-# Rows evaluated at a time: one block of the CSV formatter, so that the
-# closed forms' temporaries stay small beside the formatter's workspace.
-_CSV_BLOCK = _ROWS
 _EVAL_COLUMNS = ("x", "G", "M", "B", "psi", "phi")
 
 
@@ -122,16 +119,17 @@ def cmd_eval(args):
     def table(xs):
         # One table feeds the CSV rows and the JSON columns, in the order
         # of _EVAL_COLUMNS.
-        G = G_closed(xs)
-        M = 2.0 * G - 1.0
-        return xs, G, M, beurling_b(xs), M - np.sign(xs), psi_closed(-xs)
+        return (xs, *closed_columns(xs))
 
     if args.format == "csv":
-        # The closed forms are elementwise, so each row block is evaluated,
-        # formatted and written on its own: memory holds the grid, one
-        # block and the formatter's workspace, whatever the grid size.
-        blocks = (table(x[start:start + _CSV_BLOCK])
-                  for start in range(0, n, _CSV_BLOCK))
+        # Only eval formats floats, so only eval loads the formatter.
+        from ._float_text import _ROWS, csv_bytes
+
+        # The closed forms are elementwise, so each row block of the
+        # formatter is evaluated, formatted and written on its own: memory
+        # holds the grid, one block and the formatter's workspace, whatever
+        # the grid size, and the closed forms' temporaries stay small.
+        blocks = (table(x[start:start + _ROWS]) for start in range(0, n, _ROWS))
         with _output(args.output, binary=True) as fh:
             fh.write((",".join(_EVAL_COLUMNS) + "\n").encode("ascii"))
             for text in csv_bytes(blocks):
@@ -164,7 +162,7 @@ def _check(name, residual, limit):
 
 def cmd_verify(args):
     tol = check_tol(args.tol, 1e-10, 1e-4)
-    rng = default_rng(args.seed)
+    rng = Draws(args.seed)
     checks = []
 
     targets = {"g": 1.0, "psi": 2.0, "G_minus_heaviside": 1.0, "H": 1.0}
@@ -225,18 +223,17 @@ def cmd_verify(args):
     tele_min = np.inf
     for _ in range(5):
         n_nodes = int(rng.integers(2, 7))
-        lam = hb._random_nodes(rng, n_nodes)
-        coeffs = rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes)
-        ns = hb.compute_deltas(lam)
-        s = hb.telescoping_sum(ns, coeffs, "M")
-        ident = hb.telescoping_identity(ns, coeffs)
+        lam, coeffs = hb._random_systems(rng, 1, n_nodes)
+        ns = hb.compute_deltas(lam[0])
+        s = hb.telescoping_sum(ns, coeffs[0], "M")
+        ident = hb.telescoping_identity(ns, coeffs[0])
         tele_res = max(tele_res, abs(s - ident))
         tele_min = min(tele_min, s)
     checks.append(_check("telescoping_vs_identity", tele_res, 1e-8))
     checks.append(_check("telescoping_nonnegative", min(tele_min, 0.0), 1e-8))
 
     xs = np.linspace(-50.0, 50.0, 2001)
-    M = 2.0 * G_closed(xs) - 1.0
+    M = M_closed(xs)
     B = beurling_b(xs)
     checks.append(
         _check("majorant_M_min_margin", min(np.min(M - np.sign(xs)), 0.0), 1e-9)

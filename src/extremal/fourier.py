@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial import chebyshev as _cheb
 
 from .majorants import (
     TAIL_CUTOFF,
@@ -161,12 +160,15 @@ def _chebyshev_setup():
     # a_j = (2/n) sum_k f(x_k) cos(j theta_k), halved for j = 0
     V = (2.0 / npts) * np.cos(np.outer(np.arange(npts), theta))
     V[0] *= 0.5
-    # Chebyshev -> monomial basis change
+    # Chebyshev -> monomial basis change: column j holds the integer
+    # coefficients of T_j, from T_{j+1} = 2 s T_j - T_{j-1}.
+    T = [[1], [0, 1]]
+    while len(T) < npts:
+        twice = [0] + [2 * c for c in T[-1]]
+        T.append([a - b for a, b in zip(twice, T[-2] + [0, 0])])
     C2P = np.zeros((npts, npts))
-    for j in range(npts):
-        unit = np.zeros(npts)
-        unit[j] = 1.0
-        C2P[: j + 1, j] = _cheb.cheb2poly(unit)[: j + 1]
+    for j, coeffs in enumerate(T[:npts]):
+        C2P[: j + 1, j] = coeffs
     return nodes, V, C2P
 
 

@@ -45,8 +45,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import default_rng
 
+from ._draws import Draws, box_muller
 from .fourier import psi_beurling_hat, psi_hat
 from .quadrature import ToleranceNotMetError, check_tol
 
@@ -259,6 +259,8 @@ def sharp_constant(nodes, tol=1e-10, seed=0, max_iterations=100_000):
     residual bound as ``err_estimate`` (``inf`` if none was taken) and the
     applications as ``evaluations``.
     """
+    # scipy loads numpy.random anyway; ARPACK's vectors keep its stream.
+    from numpy.random import default_rng
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
     tol = check_tol(tol, 1e-12)
@@ -379,9 +381,28 @@ def _random_nodes(rng, n, low=0.0, high=10.0, min_gap=0.05):
     """n sorted uniform draws on [low, high] conditioned on every gap being
     at least ``min_gap``.  Removing the forced gaps maps that set one-to-one
     and volume-preserving onto the sorted draws from a shorter interval, so
-    the sample is exact, with no rejection loop."""
-    free = np.sort(rng.uniform(0.0, high - low - (n - 1) * min_gap, size=n))
+    the sample is exact, with no rejection loop.  ``rng`` is a
+    :class:`extremal._draws.Draws` or a numpy generator."""
+    return _gapped_nodes(rng.uniform(0.0, 1.0, size=n), low, high, min_gap)
+
+
+def _gapped_nodes(u, low, high, min_gap):
+    """The nodes of :func:`_random_nodes` from uniforms on [0, 1) along the
+    last axis."""
+    n = u.shape[-1]
+    free = np.sort((high - low - (n - 1) * min_gap) * u, axis=-1)
     return low + free + min_gap * np.arange(n)
+
+
+def _random_systems(draws, count, n):
+    """``count`` node systems of :func:`_random_nodes` (n nodes on [0, 10],
+    gaps at least 0.05) with complex Gaussian coefficients, as arrays of
+    shape (count, n), from one draw of 3n uniforms per system: n place the
+    nodes and 2n give the coefficients by Box-Muller (radius and angle).  A
+    system depends on its position in the stream alone, not on ``count``."""
+    u = draws.random((count, 3 * n))
+    z = box_muller(u[:, n:])
+    return _gapped_nodes(u[:, :n], 0.0, 10.0, 0.05), z[:, :n] + 1j * z[:, n:]
 
 
 def remark_experiment(n_nodes, trials, seed):
@@ -396,9 +417,10 @@ def remark_experiment(n_nodes, trials, seed):
     system.  The report states data only: whether the expression can go
     negative is an open question and no sign claim is made or checked.
 
-    Trials are drawn one by one and evaluated in chunks of ``_KERNEL_ENTRIES``
-    kernel entries, each value bit for bit that of its system alone.  Only the
-    running minimum's configuration is kept (the first on ties).
+    Trials are drawn and evaluated in chunks of ``_KERNEL_ENTRIES`` kernel
+    entries, each system and value bit for bit that of the system alone (see
+    :func:`_random_systems`).  Only the running minimum's configuration is
+    kept (the first on ties).
     """
     n_nodes = int(n_nodes)
     trials = int(trials)
@@ -406,7 +428,7 @@ def remark_experiment(n_nodes, trials, seed):
         raise ValueError("remark experiment supports 2 <= n_nodes <= 32")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = default_rng(int(seed))
+    rng = Draws(seed)
 
     chunk = _KERNEL_ENTRIES // (n_nodes * n_nodes)
     values = np.empty(trials)
@@ -414,11 +436,7 @@ def remark_experiment(n_nodes, trials, seed):
     arg_min = None
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
-        lam = np.empty((count, n_nodes))
-        coeffs = np.empty((count, n_nodes), dtype=complex)
-        for k in range(count):
-            lam[k] = _random_nodes(rng, n_nodes)
-            coeffs[k] = rng.standard_normal(n_nodes) + 1j * rng.standard_normal(n_nodes)
+        lam, coeffs = _random_systems(rng, count, n_nodes)
         total = _telescoping_complex(
             lam, _separations(lam), _finite(coeffs, "coefficients"), "BeurlingB"
         )
@@ -463,7 +481,7 @@ def constant_search(n_nodes, trials, seed):
         raise ValueError("constant search supports 2 <= n_nodes <= 2048")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = default_rng(int(seed))
+    rng = Draws(seed)
 
     def evaluate(lam):
         ns = compute_deltas(lam)

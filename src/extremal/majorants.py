@@ -51,6 +51,7 @@ __all__ = [
     "kernel_h",
     "G_closed",
     "M_closed",
+    "closed_columns",
     "beurling_b",
     "psi_closed",
     "phi_closed",
@@ -147,6 +148,22 @@ def eval_kernel(kind, u):
 #
 # (Checked against the quadrature route and by differentiating back to g.)
 
+def _g_from(x1, cin0, cin1, si1):
+    """G at x = x1 - 1 from Cin(2 pi x), Cin(2 pi x1) and Si(2 pi x1)."""
+    return (
+        0.5
+        - (cin0 - cin1) / (2.0 * np.pi**2)
+        - x1 * sinc(x1) ** 2
+        + si1 / np.pi
+    )
+
+
+def _si_cin_2pi(rows):
+    # G is at its limits 0 and 1 long before |x| = 1e300; capping there
+    # keeps 2 pi x finite up to the largest double.
+    return si_cin((2.0 * np.pi) * np.clip(np.stack(rows), -1e300, 1e300))
+
+
 def G_closed(x):
     """Vectorized closed form of G, within 1e-15 absolute of mpmath.
 
@@ -157,16 +174,27 @@ def G_closed(x):
     """
     arr, scalar = _as_array(x)
     x1 = arr + 1.0
-    # G is at its limits 0 and 1 long before |x| = 1e300; capping there
-    # keeps 2 pi x finite up to the largest double.
-    si, cin = si_cin((2.0 * np.pi) * np.clip(np.stack([arr, x1]), -1e300, 1e300))
-    out = (
-        0.5
-        - (cin[0] - cin[1]) / (2.0 * np.pi**2)
-        - x1 * sinc(x1) ** 2
-        + si[1] / np.pi
-    )
+    si, cin = _si_cin_2pi([arr, x1])
+    out = _g_from(x1, cin[0], cin[1], si[1])
     return float(out) if scalar else out
+
+
+def closed_columns(x):
+    """G, M, B, psi and phi at the points of the array ``x``: the columns of
+    ``extremal eval``, bit for bit ``G_closed(x)``, ``M_closed(x)``,
+    ``beurling_b(x)``, ``psi_closed(x)`` and ``phi_closed(x)``.
+
+    G(x) and G(-x) share one :func:`~extremal.specfun.si_cin` call on the
+    three rows x, x + 1 and 1 - x: Cin is even and computed from |x|, so
+    Cin(-2 pi x) is bitwise Cin(2 pi x).
+    """
+    x = np.asarray(x, dtype=float)
+    x1, y1 = x + 1.0, 1.0 - x
+    si, cin = _si_cin_2pi([x, x1, y1])
+    G = _g_from(x1, cin[0], cin[1], si[1])
+    M = 2.0 * G - 1.0
+    M_reflected = 2.0 * _g_from(y1, cin[0], cin[2], si[2]) - 1.0
+    return G, M, beurling_b(x), M - np.sign(x), M_reflected - np.sign(-x)
 
 
 def M_closed(x):

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from numpy.polynomial.chebyshev import cheb2poly
 
 __all__ = ["sinc", "triangle", "trigamma", "si_cin", "expint_en"]
 
@@ -118,9 +117,11 @@ def trigamma(x):
 # first omitted term is below 1e-18.  From 4 on, Si and Ci come from the
 # auxiliary functions f and g, whose scaled forms x f and x^2 g are
 # Chebyshev interpolants in u = (32 / x - 5) / 3 on [4, 16] and
-# u = 32 / x - 1 on [16, inf), tabulated by scripts/sici_tables.py.  They
-# are evaluated by Horner's rule in u, which loses nothing here: the
-# monomial coefficients sum to about 1 in magnitude.
+# u = 32 / x - 1 on [16, inf).  The tables hold them in the monomial basis
+# of u, printed by scripts/sici_tables.py (tests/test_specfun.py holds the
+# Chebyshev rows and checks the conversion bit for bit).  They are
+# evaluated by Horner's rule in u, which loses nothing here: the monomial
+# coefficients sum to about 1 in magnitude.
 
 _SERIES_CUT = 4.0
 _SI_SERIES = tuple(
@@ -132,38 +133,38 @@ _CIN_SERIES = tuple(
 
 _AUX_MID = (
     (  # x f(x)
-        0.9575366091229092, -0.03840362525328632, -0.002848274744837164,
-        0.0005294014335045227, -4.4892984147873624e-05, 5.504824340356468e-07,
-        6.346676076900526e-07, -1.5097938474922548e-07, 2.244235352735468e-08,
-        -2.1234359652782466e-09, -1.526792666389295e-11, 6.569069361394525e-11,
-        -1.9459336105321173e-11, 3.996469486925952e-12, -6.375747412041166e-13,
-        7.136118589335889e-14, -9.201623576853225e-16, -2.4228228748252193e-15,
-        9.111488196328028e-16, -2.3607131730565077e-16, 4.8922219088743026e-17,
+        0.9603393786547887, -0.03998804006861079, -0.00532669917941665,
+        0.002098409091015123, -0.0003860263868288761, 2.4730337949851055e-05,
+        1.4610820888146269e-05, -8.292305978151319e-06, 2.7745405749665746e-06,
+        -6.675229025589691e-07, 8.727117447310619e-08, 2.1321541035378118e-08,
+        -2.255908008090714e-08, 1.1447186237151747e-08, -4.41536371180927e-09,
+        1.2561012250202717e-09, -2.9504516476074266e-10, 1.3517010724337388e-10,
+        -8.820563921083759e-12, -6.188467940377252e-11, 2.5649332401598904e-11,
     ),
     (  # x^2 g(x)
-        0.8903082352932643, -0.09320126838630677, -0.0035963887368313688,
-        0.001535677552171243, -0.00021089988492148273, 1.4443010388657957e-05,
-        1.216990545507676e-06, -6.473600608616226e-07, 1.4007312780108633e-07,
-        -2.100025587505082e-08, 1.9324363532166503e-09, 8.612773038857948e-11,
-        -9.422252216643398e-11, 2.8255217389966638e-11, -6.143025590994624e-12,
-        1.0590758793497699e-12, -1.3366129710225154e-13, 5.1373907817933454e-15,
-        3.7845245709595785e-15, -1.665163295208877e-15, 4.549592938277613e-16,
+        0.8936926452071037, -0.09773174406860843, -0.005488052083107877,
+        0.005820127118402219, -0.0017240457869318179, 0.00029449023913467827,
+        5.532209058260116e-06, -2.9344595711884585e-05, 1.4957795167044976e-05,
+        -5.220605423806589e-06, 1.3517780231155727e-06, -1.9560761405693572e-07,
+        -4.741582195390293e-08, 5.770347435650007e-08, -3.160065192215565e-08,
+        1.1774122642432553e-08, -4.077638760163067e-09, 2.410118734856979e-09,
+        -6.966032866470327e-10, -4.3651256685923585e-10, 2.385296982423693e-10,
     ),
 )
 _AUX_FAR = (
     (  # x f(x)
-        0.9971622020137517, -0.0037600911504702367, -0.0009050789538941268,
-        1.9201946508589948e-05, 1.8424922745215255e-06, -1.497321988354541e-07,
-        -3.055575091947361e-09, 1.3645558077649746e-09, -7.914460204562491e-11,
-        -8.823446120938002e-12, 2.078024435089833e-12, -1.1108069749490496e-13,
-        -2.3490978640315254e-14, 5.859324618162656e-15, -4.411352510167634e-16,
+        0.9980691264342498, -0.0038184552809937943, -0.0018249502081594743,
+        7.987987737929061e-05, 1.4873092413762357e-05, -2.5522032467885856e-06,
+        -7.510995598432964e-08, 9.204257392148529e-08, -1.2940892267569501e-08,
+        -1.8484998011682505e-09, 1.1908857673960065e-09, -1.9174596355176386e-10,
+        -3.546129433821298e-11, 2.399979363599424e-11, -3.6137799763293257e-12,
     ),
     (  # x^2 g(x)
-        0.9916561706283412, -0.011012062770821058, -0.002586801515986458,
-        9.00314526787421e-05, 7.696189820817732e-06, -9.173427564480789e-07,
-        -3.6716879756187674e-09, 9.530002821429883e-09, -8.324314263874442e-10,
-        -4.954243906676142e-11, 1.9989803012016006e-11, -1.7576623702884676e-12,
-        -1.6629160388184555e-13, 6.887354763725743e-14, -8.1078623996077e-15,
+        0.994250671153257, -0.011286810978311584, -0.005235210992448799,
+        0.00037901187933892525, 6.160444766812573e-05, -1.5763880753035335e-05,
+        1.185167196477001e-07, 6.328194147396245e-07, -1.3306963865770321e-07,
+        -6.587231333674634e-09, 1.093683038916012e-08, -2.716690933322562e-09,
+        -1.0809657402846775e-10, 2.821060511222064e-10, -6.641960877758628e-11,
     ),
 )
 
@@ -175,15 +176,6 @@ def _horner(coeffs, u):
         acc *= u
         acc += c
     return acc
-
-
-def _monomial(table):
-    """Each table row converted from the Chebyshev to the monomial basis."""
-    return tuple(tuple(cheb2poly(row)) for row in table)
-
-
-_AUX_MID_MONOMIAL = _monomial(_AUX_MID)
-_AUX_FAR_MONOMIAL = _monomial(_AUX_FAR)
 
 
 # Points per block of si_cin: the dozen work arrays of a block stay in cache,
@@ -220,13 +212,13 @@ def _si_cin_block(x):
     # stays finite there; the series then overwrites those points.
     zc = np.maximum(z, _SERIES_CUT)
     inv = 1.0 / zc
-    cf, cg = _AUX_FAR_MONOMIAL
+    cf, cg = _AUX_FAR
     u = 32.0 * inv - 1.0
     xf = _horner(cf, u)
     x2g = _horner(cg, u)
     mid = zc < 16.0
     if np.any(mid):
-        cf, cg = _AUX_MID_MONOMIAL
+        cf, cg = _AUX_MID
         u = (32.0 / 3.0) * inv[mid] - 5.0 / 3.0
         xf[mid] = _horner(cf, u)
         x2g[mid] = _horner(cg, u)

@@ -21,6 +21,7 @@ import extremal.fourier as fourier
 import extremal.hilbert as hb
 import extremal.cli as cli
 import extremal.integrals as integrals
+from extremal._float_text import _ROWS
 from extremal.cli import main
 from extremal.majorants import G_closed, M_closed, beurling_b, phi_closed, psi_closed
 
@@ -93,8 +94,8 @@ class TestEval:
         "n",
         # Either side of one and two row blocks, and of 4,096 rows (a
         # multiple of the block, and the block size of earlier versions).
-        sorted({cli._CSV_BLOCK - 1, cli._CSV_BLOCK, cli._CSV_BLOCK + 1,
-                2 * cli._CSV_BLOCK + 1, 4095, 4096, 4097, 8193}),
+        sorted({_ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1,
+                4095, 4096, 4097, 8193}),
     )
     def test_csv_spanning_several_row_blocks(self, n, capsys):
         # The CSV is evaluated and written one row block at a time, the JSON
@@ -175,7 +176,7 @@ class TestEval:
         def exhausted(x):
             raise MemoryError("Unable to allocate 745. GiB")
 
-        monkeypatch.setattr(cli, "G_closed", exhausted)
+        monkeypatch.setattr(cli, "closed_columns", exhausted)
         code, _, err = run(capsys, "eval", "--grid", "0:1:11")
         assert code == 2
         assert err.startswith("error:") and "745" in err
@@ -210,6 +211,15 @@ class TestVerify:
             code, out, err = run(capsys, "verify", "--tol", tol)
             assert code == 2
             assert out == "" and "tol" in err
+
+    def test_sampled_checks_pass_for_seeds_0_to_19(self, capsys):
+        # The sampled checks (kernel factorization, transforms against the
+        # Filon route, telescoping systems) hold on every seed, not on one.
+        for seed in range(20):
+            code, out, _ = run(capsys, "verify", "--seed", str(seed))
+            rep = json.loads(out)
+            failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+            assert code == 0 and rep["all_passed"] is True, (seed, failed)
 
     def test_seed_changes_random_sections(self, capsys):
         _, out1, _ = run(capsys, "verify", "--seed", "1")
@@ -341,17 +351,14 @@ class TestSearch:
 
     def test_remark_duplicate_nodes_exit_2(self, capsys, monkeypatch):
         # Two equal nodes planted in the second trial of a chunk.
-        sampler = hb._random_nodes
-        calls = []
+        sampler = hb._random_systems
 
-        def planted(rng, n):
-            lam = sampler(rng, n)
-            calls.append(n)
-            if len(calls) == 2:
-                lam[1] = lam[0]
-            return lam
+        def planted(rng, count, n):
+            lam, coeffs = sampler(rng, count, n)
+            lam[1, 1] = lam[1, 0]
+            return lam, coeffs
 
-        monkeypatch.setattr(hb, "_random_nodes", planted)
+        monkeypatch.setattr(hb, "_random_systems", planted)
         code, _, err = run(capsys, "search", "--mode", "remark", "--n", "4",
                            "--trials", "5", "--seed", "0")
         assert code == 2
@@ -433,23 +440,37 @@ class TestTopLevel:
         assert out.startswith("x,G,M,B,psi,phi")
 
     def test_commands_import_nothing(self, tmp_path):
-        # The package loads no scipy module, and once it is imported (with
-        # the Filon panels built) eval, verify and search --mode remark load
-        # no module at all: an import inside a command adds to its run time.
+        # The package loads no scipy, no numpy.random (nor OpenSSL's
+        # _hashlib behind it) and no numpy.polynomial.  Once it is imported
+        # (with the Filon panels built) verify, search --mode remark and a
+        # JSON eval load no module at all: an import inside a command adds
+        # to its run time.  The CSV formatter loads with the first CSV eval,
+        # the only command that uses it.
         code = textwrap.dedent("""
             import sys
             import extremal
             from extremal import cli
-            scipy = sorted(m for m in sys.modules if m.startswith("scipy"))
-            assert not scipy, scipy
+
+            def heavy():
+                names = ("scipy", "numpy.random", "numpy.polynomial", "_hashlib",
+                         "extremal._float_text")
+                return sorted(m for m in sys.modules
+                              if any(m == n or m.startswith(n + ".") for n in names))
+
+            assert not heavy(), heavy()
             for kind in ("g", "psi", "psi_beurling"):
                 extremal.numeric_ft(kind, 0.0)
             before = set(sys.modules)
-            for argv in (["eval", "--grid=-2:2:11"], ["verify", "--seed", "0"],
-                         ["search", "--mode", "remark", "--n", "4", "--trials", "3"]):
+            for argv, new in (
+                (["verify", "--seed", "0"], []),
+                (["search", "--mode", "remark", "--n", "4", "--trials", "3"], []),
+                (["eval", "--grid=-2:2:11", "--format", "json"], []),
+                (["eval", "--grid=-2:2:11"], ["extremal._float_text"]),
+            ):
                 assert cli.main(argv + ["-o", sys.argv[1]]) == 0, argv
                 loaded = sorted(set(sys.modules) - before)
-                assert not loaded, (argv[0], loaded)
+                assert loaded == new, (argv, loaded)
+            assert heavy() == ["extremal._float_text"], heavy()
         """)
         src = os.path.dirname(os.path.dirname(hb.__file__))
         env = dict(os.environ)

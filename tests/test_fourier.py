@@ -196,6 +196,16 @@ class TestPsiHatScaled:
 
 
 class TestNumericFT:
+    def test_monomial_basis_change_is_cheb2poly(self):
+        # The integer Chebyshev recurrence gives numpy's cheb2poly exactly.
+        from numpy.polynomial.chebyshev import cheb2poly
+
+        npts = fourier._FT_DEGREE + 1
+        want = np.zeros((npts, npts))
+        for j in range(npts):
+            want[: j + 1, j] = cheb2poly(np.eye(npts)[j])[: j + 1]
+        assert fourier._CHEB_C2P.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("t", [0.0, 0.1, 0.5, -0.75, 0.999, 1.0, 1.5, -3.0])
     def test_g_matches_closed_form(self, t):
         assert abs(numeric_ft("g", t) - g_hat(t)) < 1e-12

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extremal.hilbert as hb
+from extremal._draws import Draws
 from extremal import (
     BOUND_FOURIER,
     BOUND_MONTGOMERY_VAUGHAN,
@@ -550,13 +551,12 @@ class TestRemarkExperiment:
         # at and one above the chunk size.  The draws do not depend on the
         # trial count, so one pass of single-system calls serves all three.
         chunk = hb._KERNEL_ENTRIES // (n * n)
-        rng = np.random.default_rng(n)
+        rng = Draws(n)
         values, residues = [], []
         for _ in range(chunk + 1):
-            lam = hb._random_nodes(rng, n)
-            coeffs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            ns = compute_deltas(lam)
-            total = hb._telescoping_complex(ns.lambdas, ns.deltas, coeffs, "BeurlingB")
+            lam, coeffs = hb._random_systems(rng, 1, n)
+            ns = compute_deltas(lam[0])
+            total = hb._telescoping_complex(ns.lambdas, ns.deltas, coeffs[0], "BeurlingB")
             values.append(float(total.real))
             residues.append(abs(float(total.imag)))
         for trials in (chunk - 1, chunk, chunk + 1):
@@ -583,20 +583,19 @@ class TestRemarkExperiment:
     def test_duplicate_nodes_in_a_chunk(self, monkeypatch):
         # Safety check kept on the batch: the exact sampler never draws two
         # equal nodes, so plant them in the third trial of a chunk.
-        sampler = hb._random_nodes
+        sampler = hb._random_systems
         draws = []
 
-        def planted(rng, n):
-            lam = sampler(rng, n)
+        def planted(rng, count, n):
+            lam, coeffs = sampler(rng, count, n)
+            lam[2, 2] = lam[2, 1]
             draws.append(lam)
-            if len(draws) == 3:
-                lam[2] = lam[1]
-            return lam
+            return lam, coeffs
 
-        monkeypatch.setattr(hb, "_random_nodes", planted)
+        monkeypatch.setattr(hb, "_random_systems", planted)
         with pytest.raises(DuplicateNodesError) as info:
             remark_experiment(5, trials=6, seed=0)
-        assert info.value.pair == (draws[2][1], draws[2][1])
+        assert info.value.pair == (draws[0][2, 1], draws[0][2, 1])
 
 
 class TestConstantSearch:

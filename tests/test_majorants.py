@@ -16,6 +16,7 @@ from extremal.majorants import (
     TAIL_CUTOFF,
     ToleranceNotMetError,
     beurling_b,
+    closed_columns,
     eval_G,
     eval_deficit,
     eval_kernel,
@@ -404,6 +405,21 @@ class TestDeficits:
         x = np.linspace(-50.0, 50.0, 40_001)
         assert np.all(psi_closed(x) >= -1e-12)
         assert np.all(psi_beurling_closed(x) >= -1e-12)
+
+    def test_closed_columns_bitwise(self):
+        # eval's columns share one Si/Cin call for G(x) and G(-x); each must
+        # be bit for bit the function's own value, at the cancellation and
+        # series-cut points as well as far out and at signed zeros.
+        cut = 4.0 / (2.0 * np.pi)
+        edges = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0, -3.0, 5e-324, -1e-300,
+                 1e-12, -1e-9, cut, -cut, cut - 1.0, 1.0 - cut, np.nextafter(-1.0, 0.0),
+                 1e4, -1e4, 1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308]
+        rng = np.random.default_rng(9)
+        x = np.concatenate([edges, rng.uniform(-60.0, 60.0, 5000),
+                            rng.uniform(-1.0, 1.0, 1000) * 10.0 ** rng.uniform(-12, 4, 1000)])
+        columns = closed_columns(x)
+        for got, f in zip(columns, (G_closed, M_closed, beurling_b, psi_closed, phi_closed)):
+            assert got.tobytes() == f(x).tobytes(), f.__name__
 
     def test_g_minus_heaviside(self):
         for x in (-1.0, 0.0, 1.0, 2.5):

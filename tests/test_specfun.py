@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from extremal import specfun
 from extremal.specfun import EULER_GAMMA, expint_en, si_cin, sinc, triangle, trigamma
 
 # mpmath polygamma(1, x) at 50 digits.
@@ -153,7 +154,61 @@ def sici_sweep():
     ])
 
 
+# The Chebyshev rows of x f and x^2 g behind Si and Cin, as
+# ``python3 scripts/sici_tables.py --chebyshev`` prints them; specfun embeds
+# their monomial form.
+AUX_MID_CHEBYSHEV = (
+    (  # x f(x)
+        0.9575366091229092, -0.03840362525328632, -0.002848274744837164,
+        0.0005294014335045227, -4.4892984147873624e-05, 5.504824340356468e-07,
+        6.346676076900526e-07, -1.5097938474922548e-07, 2.244235352735468e-08,
+        -2.1234359652782466e-09, -1.526792666389295e-11, 6.569069361394525e-11,
+        -1.9459336105321173e-11, 3.996469486925952e-12, -6.375747412041166e-13,
+        7.136118589335889e-14, -9.201623576853225e-16, -2.4228228748252193e-15,
+        9.111488196328028e-16, -2.3607131730565077e-16, 4.8922219088743026e-17,
+    ),
+    (  # x^2 g(x)
+        0.8903082352932643, -0.09320126838630677, -0.0035963887368313688,
+        0.001535677552171243, -0.00021089988492148273, 1.4443010388657957e-05,
+        1.216990545507676e-06, -6.473600608616226e-07, 1.4007312780108633e-07,
+        -2.100025587505082e-08, 1.9324363532166503e-09, 8.612773038857948e-11,
+        -9.422252216643398e-11, 2.8255217389966638e-11, -6.143025590994624e-12,
+        1.0590758793497699e-12, -1.3366129710225154e-13, 5.1373907817933454e-15,
+        3.7845245709595785e-15, -1.665163295208877e-15, 4.549592938277613e-16,
+    ),
+)
+AUX_FAR_CHEBYSHEV = (
+    (  # x f(x)
+        0.9971622020137517, -0.0037600911504702367, -0.0009050789538941268,
+        1.9201946508589948e-05, 1.8424922745215255e-06, -1.497321988354541e-07,
+        -3.055575091947361e-09, 1.3645558077649746e-09, -7.914460204562491e-11,
+        -8.823446120938002e-12, 2.078024435089833e-12, -1.1108069749490496e-13,
+        -2.3490978640315254e-14, 5.859324618162656e-15, -4.411352510167634e-16,
+    ),
+    (  # x^2 g(x)
+        0.9916561706283412, -0.011012062770821058, -0.002586801515986458,
+        9.00314526787421e-05, 7.696189820817732e-06, -9.173427564480789e-07,
+        -3.6716879756187674e-09, 9.530002821429883e-09, -8.324314263874442e-10,
+        -4.954243906676142e-11, 1.9989803012016006e-11, -1.7576623702884676e-12,
+        -1.6629160388184555e-13, 6.887354763725743e-14, -8.1078623996077e-15,
+    ),
+)
+
+
 class TestSiCin:
+    @pytest.mark.parametrize("name", ["MID", "FAR"])
+    def test_monomial_tables_are_cheb2poly_of_the_chebyshev_rows(self, name):
+        # Bit for bit what numpy's cheb2poly made of the rows at import
+        # before the tables were embedded in the monomial basis.
+        from numpy.polynomial.chebyshev import cheb2poly
+
+        rows = globals()[f"AUX_{name}_CHEBYSHEV"]
+        tables = getattr(specfun, f"_AUX_{name}")
+        assert len(tables) == len(rows) == 2
+        for table, row in zip(tables, rows):
+            want = cheb2poly(np.array(row))
+            assert np.asarray(table).tobytes() == want.tobytes()
+
     def test_matches_mpmath_no_worse_than_scipy(self):
         # Cin from scipy is gamma + log x - Ci, as the closed form of G used
         # it before; on [0, 4] that difference cancels, so the power series
