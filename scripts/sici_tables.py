@@ -17,15 +17,14 @@ Function values and Chebyshev coefficients are computed in mpmath at 40
 digits and rounded once to double; numpy's ``cheb2poly`` then converts each
 row to monomial coefficients in u, which is what ``specfun`` evaluates by
 Horner's rule.  The conversion is plain double arithmetic with no BLAS, so
-the output does not depend on the platform.  The script prints the monomial
-tables as Python source that ``specfun`` embeds verbatim; with ``--chebyshev``
-it prints the Chebyshev rows instead, which tests/test_specfun.py holds to
-check the embedded tables bit for bit:
+the output does not depend on the platform.  The script prints Python
+source: first the monomial tables, which ``specfun`` embeds verbatim, then
+the Chebyshev rows they come from as ``AUX_MID_CHEBYSHEV`` and
+``AUX_FAR_CHEBYSHEV``, which tests/test_specfun.py holds to check the
+embedded tables bit for bit:
 
-    python3 scripts/sici_tables.py [--chebyshev]
+    python3 scripts/sici_tables.py
 """
-
-import sys
 
 import mpmath as mp
 from numpy.polynomial.chebyshev import cheb2poly
@@ -69,25 +68,32 @@ def monomial(table):
     return tuple(tuple(float(c) for c in cheb2poly(row)) for row in table)
 
 
-def source(chebyshev=False):
-    """The monomial tables as the Python source embedded in ``specfun``, or
-    with ``chebyshev`` the Chebyshev rows they come from."""
-    lines = []
+def table_source(name, table):
+    """One table of rows as Python source."""
+    lines = [f"{name} = ("]
+    for label, coeffs in zip(("x f(x)", "x^2 g(x)"), table):
+        lines.append(f"    (  # {label}")
+        for i in range(0, len(coeffs), 3):
+            row = " ".join(f"{c!r}," for c in coeffs[i : i + 3])
+            lines.append(f"        {row}")
+        lines.append("    ),")
+    lines.append(")")
+    return lines
+
+
+def source():
+    """The monomial tables embedded in ``specfun``, then the Chebyshev rows
+    they come from, as Python source."""
     with mp.workdps(DIGITS):
-        for name, a, s_range, degree in TABLES:
-            lines.append(f"{name} = (")
-            table = chebyshev_table(a, s_range, degree)
-            if not chebyshev:
-                table = monomial(table)
-            for label, coeffs in zip(("x f(x)", "x^2 g(x)"), table):
-                lines.append(f"    (  # {label}")
-                for i in range(0, len(coeffs), 3):
-                    row = " ".join(f"{c!r}," for c in coeffs[i : i + 3])
-                    lines.append(f"        {row}")
-                lines.append("    ),")
-            lines.append(")")
+        tables = [(name, chebyshev_table(a, s_range, degree))
+                  for name, a, s_range, degree in TABLES]
+    lines = []
+    for name, table in tables:
+        lines += table_source(name, monomial(table))
+    for name, table in tables:
+        lines += table_source(name.lstrip("_") + "_CHEBYSHEV", table)
     return "\n".join(lines)
 
 
 if __name__ == "__main__":
-    print(source(chebyshev="--chebyshev" in sys.argv[1:]))
+    print(source())

@@ -377,7 +377,13 @@ def telescoping_identity(nodes, a):
 # ---------------------------------------------------------------------------
 # Randomized experiments.
 
-def _random_nodes(rng, n, low=0.0, high=10.0, min_gap=0.05):
+# The interval and least gap of the random node systems of the search and
+# verify experiments.
+_NODES_LOW, _NODES_HIGH, _NODES_MIN_GAP = 0.0, 10.0, 0.05
+
+
+def _random_nodes(rng, n, low=_NODES_LOW, high=_NODES_HIGH,
+                  min_gap=_NODES_MIN_GAP):
     """n sorted uniform draws on [low, high] conditioned on every gap being
     at least ``min_gap``.  Removing the forced gaps maps that set one-to-one
     and volume-preserving onto the sorted draws from a shorter interval, so
@@ -395,14 +401,15 @@ def _gapped_nodes(u, low, high, min_gap):
 
 
 def _random_systems(draws, count, n):
-    """``count`` node systems of :func:`_random_nodes` (n nodes on [0, 10],
-    gaps at least 0.05) with complex Gaussian coefficients, as arrays of
+    """``count`` node systems of :func:`_random_nodes` at its default
+    interval and gap, with complex Gaussian coefficients, as arrays of
     shape (count, n), from one draw of 3n uniforms per system: n place the
     nodes and 2n give the coefficients by Box-Muller (radius and angle).  A
     system depends on its position in the stream alone, not on ``count``."""
     u = draws.random((count, 3 * n))
     z = box_muller(u[:, n:])
-    return _gapped_nodes(u[:, :n], 0.0, 10.0, 0.05), z[:, :n] + 1j * z[:, n:]
+    lam = _gapped_nodes(u[:, :n], _NODES_LOW, _NODES_HIGH, _NODES_MIN_GAP)
+    return lam, z[:, :n] + 1j * z[:, n:]
 
 
 def remark_experiment(n_nodes, trials, seed):

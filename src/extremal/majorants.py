@@ -148,66 +148,56 @@ def eval_kernel(kind, u):
 #
 # (Checked against the quadrature route and by differentiating back to g.)
 
-def _g_from(x1, cin0, cin1, si1):
-    """G at x = x1 - 1 from Cin(2 pi x), Cin(2 pi x1) and Si(2 pi x1)."""
-    return (
-        0.5
-        - (cin0 - cin1) / (2.0 * np.pi**2)
-        - x1 * sinc(x1) ** 2
-        + si1 / np.pi
-    )
-
-
-def _si_cin_2pi(rows):
-    # G is at its limits 0 and 1 long before |x| = 1e300; capping there
-    # keeps 2 pi x finite up to the largest double.
-    return si_cin((2.0 * np.pi) * np.clip(np.stack(rows), -1e300, 1e300))
-
-
-def G_closed(x):
+def G_closed(x, reflect=False):
     """Vectorized closed form of G, within 1e-15 absolute of mpmath.
 
     The bound is the one tests/test_majorants.py enforces on a seeded sweep
     of [-1e4, 1e4] and at the points where the closed form cancels.
     Si and Cin are evaluated once per argument, 2 pi x and 2 pi (x + 1),
-    in one :func:`~extremal.specfun.si_cin` call.
+    in one :func:`~extremal.specfun.si_cin` call.  With ``reflect`` the
+    result is the pair (G(x), G(-x)): the call takes the third row
+    2 pi (1 - x), and Cin(-2 pi x) is Cin(2 pi x) bit for bit since Cin is
+    even and computed from |x|.
     """
     arr, scalar = _as_array(x)
     x1 = arr + 1.0
-    si, cin = _si_cin_2pi([arr, x1])
-    out = _g_from(x1, cin[0], cin[1], si[1])
-    return float(out) if scalar else out
+    rows = [arr, x1, 1.0 - arr] if reflect else [arr, x1]
+    # G is at its limits 0 and 1 long before |x| = 1e300; capping there
+    # keeps 2 pi x finite up to the largest double.
+    si, cin = si_cin((2.0 * np.pi) * np.clip(np.stack(rows), -1e300, 1e300))
+    out = tuple(
+        0.5
+        - (cin[0] - cin[k]) / (2.0 * np.pi**2)
+        - rows[k] * sinc(rows[k]) ** 2
+        + si[k] / np.pi
+        for k in range(1, len(rows))
+    )
+    if scalar:
+        out = tuple(float(v) for v in out)
+    return out if reflect else out[0]
 
 
-def closed_columns(x):
-    """G, M, B, psi and phi at the points of the array ``x``: the columns of
-    ``extremal eval``, bit for bit ``G_closed(x)``, ``M_closed(x)``,
-    ``beurling_b(x)``, ``psi_closed(x)`` and ``phi_closed(x)``.
+def _majorant(G):
+    """M = 2G - 1 from values of G."""
+    return 2.0 * G - 1.0
 
-    G(x) and G(-x) share one :func:`~extremal.specfun.si_cin` call on the
-    three rows x, x + 1 and 1 - x: Cin is even and computed from |x|, so
-    Cin(-2 pi x) is bitwise Cin(2 pi x).
-    """
-    x = np.asarray(x, dtype=float)
-    x1, y1 = x + 1.0, 1.0 - x
-    si, cin = _si_cin_2pi([x, x1, y1])
-    G = _g_from(x1, cin[0], cin[1], si[1])
-    M = 2.0 * G - 1.0
-    M_reflected = 2.0 * _g_from(y1, cin[0], cin[2], si[2]) - 1.0
-    return G, M, beurling_b(x), M - np.sign(x), M_reflected - np.sign(-x)
+
+def _deficit(x, M):
+    """psi = M - sgn at the points x from the values M(x)."""
+    return M - np.sign(x)
 
 
 def M_closed(x):
     """Vectorized closed form of the monotone majorant M = 2G - 1."""
     arr, scalar = _as_array(x)
-    out = 2.0 * G_closed(arr) - 1.0
+    out = _majorant(G_closed(arr))
     return float(out) if scalar else out
 
 
 def psi_closed(x):
     """Deficit psi(x) = M(x) - sgn(x) (closed form)."""
     arr, scalar = _as_array(x)
-    out = M_closed(arr) - np.sign(arr)
+    out = _deficit(arr, M_closed(arr))
     return float(out) if scalar else out
 
 
@@ -216,6 +206,19 @@ def phi_closed(x):
     arr, scalar = _as_array(x)
     out = psi_closed(-arr)
     return float(out) if scalar else out
+
+
+def closed_columns(x):
+    """G, M, B, psi and phi at the points of the array ``x``: the columns of
+    ``extremal eval``, bit for bit ``G_closed(x)``, ``M_closed(x)``,
+    ``beurling_b(x)``, ``psi_closed(x)`` and ``phi_closed(x)``, with G(x)
+    and G(-x) from one ``G_closed(x, reflect=True)`` call.
+    """
+    x = np.asarray(x, dtype=float)
+    G, G_reflected = G_closed(x, reflect=True)
+    M = _majorant(G)
+    phi = _deficit(-x, _majorant(G_reflected))
+    return G, M, beurling_b(x), _deficit(x, M), phi
 
 
 def g_minus_heaviside_closed(x):

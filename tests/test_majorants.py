@@ -420,6 +420,9 @@ class TestDeficits:
         columns = closed_columns(x)
         for got, f in zip(columns, (G_closed, M_closed, beurling_b, psi_closed, phi_closed)):
             assert got.tobytes() == f(x).tobytes(), f.__name__
+        # The reflected pair of G_closed, also for a scalar.
+        for v in (0.3, -2.5, 0.0):
+            assert G_closed(v, reflect=True) == (G_closed(v), G_closed(-v))
 
     def test_g_minus_heaviside(self):
         for x in (-1.0, 0.0, 1.0, 2.5):

@@ -10,6 +10,8 @@ import pytest
 
 from extremal import cli, specfun
 
+import test_specfun
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -65,6 +67,10 @@ def test_sici_tables_are_the_specfun_tables():
     exec(proc.stdout, tables)
     for name in ("_AUX_MID", "_AUX_FAR"):
         assert tables[name] == getattr(specfun, name)
+    # The Chebyshev rows the monomial tables come from are the ones
+    # tests/test_specfun.py converts bit for bit.
+    for name in ("AUX_MID_CHEBYSHEV", "AUX_FAR_CHEBYSHEV"):
+        assert tables[name] == getattr(test_specfun, name)
 
 
 def test_check_float_text():

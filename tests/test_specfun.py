@@ -155,8 +155,8 @@ def sici_sweep():
 
 
 # The Chebyshev rows of x f and x^2 g behind Si and Cin, as
-# ``python3 scripts/sici_tables.py --chebyshev`` prints them; specfun embeds
-# their monomial form.
+# ``python3 scripts/sici_tables.py`` prints them after the monomial tables
+# that specfun embeds (tests/test_scripts.py checks both).
 AUX_MID_CHEBYSHEV = (
     (  # x f(x)
         0.9575366091229092, -0.03840362525328632, -0.002848274744837164,
