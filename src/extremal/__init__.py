@@ -10,7 +10,7 @@ with C = 2 pi, alongside spectral computation of per-configuration sharp
 constants.
 """
 
-from .specfun import sinc, triangle, trigamma
+from .specfun import sinc, trigamma
 from .quadrature import (
     QuadResult,
     ToleranceNotMetError,
@@ -20,11 +20,7 @@ from .majorants import (
     G_closed,
     M_closed,
     beurling_b,
-    eval_G,
-    eval_deficit,
     eval_kernel,
-    eval_majorant,
-    phi_closed,
     psi_beurling_closed,
     psi_closed,
 )
@@ -62,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "sinc",
-    "triangle",
     "trigamma",
     "QuadResult",
     "ToleranceNotMetError",
@@ -70,11 +65,7 @@ __all__ = [
     "G_closed",
     "M_closed",
     "beurling_b",
-    "eval_G",
-    "eval_deficit",
     "eval_kernel",
-    "eval_majorant",
-    "phi_closed",
     "psi_beurling_closed",
     "psi_closed",
     "integrate_with_tails",

@@ -27,7 +27,7 @@ import types
 
 import numpy as np
 
-__all__ = ["csv_bytes", "csv_rows"]
+__all__ = ["csv_bytes"]
 
 # Rows formatted at a time, and the rows of each block eval evaluates.  The
 # workspace takes 205 bytes a value, 1.26 MB for eval's six columns.  With
@@ -405,10 +405,3 @@ def csv_bytes(tables):
                 grid[:block, j] = c[start:start + block]
             grid[block:] = 0.0
             yield _fields(w, block * len(columns))
-
-
-def csv_rows(columns):
-    """Yield the CSV text of the rows of ``columns``, equal-length 1-d
-    float64 arrays, as str, ``_ROWS`` rows at a time."""
-    for text in csv_bytes([columns]):
-        yield text.decode("ascii")

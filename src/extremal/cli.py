@@ -38,8 +38,6 @@ from . import integrals
 from ._draws import Draws
 from .fourier import band_limit_check, g_hat, numeric_ft, psi_hat
 from .majorants import (
-    _TOL_MAX,
-    _TOL_MIN,
     closed_columns,
     kernel_g,
     kernel_h,
@@ -113,7 +111,7 @@ def _parse_grid(text):
 
 def cmd_eval(args):
     a, b, n = args.grid
-    tol = check_tol(args.tol, _TOL_MIN, _TOL_MAX)
+    tol = check_tol(args.tol, 1e-12, 1e-4)
     x = np.linspace(a, b, n)
 
     def table(xs):

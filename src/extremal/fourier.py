@@ -27,7 +27,6 @@ from .majorants import (
     kernel_g,
     psi_beurling_closed,
     psi_closed,
-    kernel_H,
     tail_transform,
 )
 from .quadrature import ToleranceNotMetError, check_tol
@@ -145,11 +144,7 @@ _FT_KERNELS = {
     "g": kernel_g,
     "psi": psi_closed,
     "psi_beurling": psi_beurling_closed,
-    # H participates in internal consistency tests only.
-    "H": kernel_H,
 }
-
-_PUBLIC_FT_KINDS = ("g", "psi", "psi_beurling")
 
 
 def _chebyshev_setup():
@@ -273,10 +268,10 @@ def numeric_ft(function_kind, t, tol=1e-7):
     tails add below 1e-15), so every admissible ``tol`` (``>= 1e-8``) is
     met.
     """
-    if function_kind not in _PUBLIC_FT_KINDS:
+    if function_kind not in _FT_KERNELS:
         raise ValueError(
             f"unknown transform kind {function_kind!r}; "
-            f"expected one of {_PUBLIC_FT_KINDS}"
+            f"expected one of {tuple(_FT_KERNELS)}"
         )
     arr = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(arr)):

@@ -357,7 +357,7 @@ def telescoping_sum(nodes, a, majorant="M"):
     arr = _coefficients(nodes, a)
     total = complex(_telescoping_complex(nodes.lambdas, nodes.deltas, arr, majorant))
     limit = 1e-8
-    scale = max(1.0, float(np.sum(np.abs(np.asarray(a)) ** 2)))
+    scale = max(1.0, float(np.sum(np.abs(arr) ** 2)))
     if abs(total.imag) > limit * scale:
         raise ArithmeticError(
             f"telescoping sum has imaginary residue {total.imag:g} "

@@ -20,11 +20,9 @@ Core objects:
 
 Conventions: ``sgn(0) = 0`` and the upper Heaviside ``x_+^0(0) = 1``.
 
-The vectorized closed forms (``G_closed`` etc.) are the bulk path used for
-grids and Fourier node tables.  ``eval_G`` (and ``eval_majorant`` and
-``eval_deficit`` on top of it) is the auditable quadrature route of G
-through :func:`line_integral`; it validates its tolerance and the two
-routes are tested against each other.
+The vectorized closed forms (``G_closed`` etc.) are the one route to G, M,
+psi and phi used for grids and Fourier node tables; the tests check
+``G_closed`` against mpmath and against ``line_integral("g", -inf, x)``.
 """
 
 from __future__ import annotations
@@ -36,15 +34,12 @@ import numpy as np
 from .quadrature import (
     QuadResult,
     ToleranceNotMetError,
-    check_tol,
     integrate_adaptive,
     modulated_tail,
 )
 from .specfun import _as_array, si_cin, sinc, trigamma
 
 __all__ = [
-    "sgn",
-    "heaviside_upper",
     "eval_kernel",
     "kernel_g",
     "kernel_H",
@@ -54,34 +49,13 @@ __all__ = [
     "closed_columns",
     "beurling_b",
     "psi_closed",
-    "phi_closed",
     "psi_beurling_closed",
     "g_minus_heaviside_closed",
-    "eval_G",
-    "eval_majorant",
-    "eval_deficit",
     "tail_transform",
     "TAIL_KINDS",
     "TAIL_CUTOFF",
     "ToleranceNotMetError",
 ]
-
-_TOL_MIN = 1e-12
-_TOL_MAX = 1e-4
-
-
-def sgn(x):
-    """Sign function with sgn(0) = 0."""
-    arr, scalar = _as_array(x)
-    out = np.sign(arr)
-    return float(out) if scalar else out
-
-
-def heaviside_upper(x):
-    """Upper semicontinuous Heaviside: 1 for x >= 0, else 0."""
-    arr, scalar = _as_array(x)
-    out = np.where(arr >= 0.0, 1.0, 0.0)
-    return float(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -201,18 +175,11 @@ def psi_closed(x):
     return float(out) if scalar else out
 
 
-def phi_closed(x):
-    """Reflected deficit phi(x) = psi(-x) = sgn(x) + M(-x) (closed form)."""
-    arr, scalar = _as_array(x)
-    out = psi_closed(-arr)
-    return float(out) if scalar else out
-
-
 def closed_columns(x):
     """G, M, B, psi and phi at the points of the array ``x``: the columns of
     ``extremal eval``, bit for bit ``G_closed(x)``, ``M_closed(x)``,
-    ``beurling_b(x)``, ``psi_closed(x)`` and ``phi_closed(x)``, with G(x)
-    and G(-x) from one ``G_closed(x, reflect=True)`` call.
+    ``beurling_b(x)``, ``psi_closed(x)`` and phi(x) = ``psi_closed(-x)``,
+    with G(x) and G(-x) from one ``G_closed(x, reflect=True)`` call.
     """
     x = np.asarray(x, dtype=float)
     G, G_reflected = G_closed(x, reflect=True)
@@ -474,56 +441,3 @@ def line_integral(kind, a, b, tol, max_evals=10_000_000):
             value, est, quad.evaluations,
         ) from exhausted
     return QuadResult(value, est, quad.evaluations)
-
-
-# ---------------------------------------------------------------------------
-# Scalar evaluators with tolerance contracts.
-
-def _check_x(x):
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("x must be finite")
-    return x
-
-
-def eval_G(x, tol=1e-8, max_evals=10_000_000):
-    """G(x) = integral_{-inf}^x g to absolute accuracy ``tol``.
-
-    The auditable quadrature route through :func:`line_integral`; the
-    Cin/Si antiderivative :func:`G_closed` is the other route, and the two
-    agree to ~1e-13.  Raises :class:`ToleranceNotMetError` (carrying the
-    achieved estimate) if the budget runs out before the tolerance is met.
-    """
-    return line_integral(
-        "g", -math.inf, _check_x(x), check_tol(tol, _TOL_MIN, _TOL_MAX),
-        max_evals,
-    ).value
-
-
-def eval_majorant(kind, x, tol=1e-8):
-    """Evaluate one of {G, M, BeurlingB, MinorantOfSgn} at scalar x."""
-    x = _check_x(x)
-    tol = check_tol(tol, _TOL_MIN, _TOL_MAX)
-    if kind == "G":
-        return eval_G(x, tol)
-    if kind == "M":
-        # G to tol/2 may lie below the least tol eval_G accepts.
-        return 2.0 * line_integral("g", -math.inf, x, 0.5 * tol).value - 1.0
-    if kind == "BeurlingB":
-        return beurling_b(x)
-    if kind == "MinorantOfSgn":
-        return -eval_majorant("M", -x, tol)
-    raise ValueError(
-        f"unknown majorant kind {kind!r}; expected G, M, BeurlingB or "
-        "MinorantOfSgn"
-    )
-
-
-def eval_deficit(which, x, tol=1e-8):
-    """Deficit psi(x) = M(x) - sgn(x) or phi(x) = psi(-x) at scalar x."""
-    x = _check_x(x)
-    if which == "psi":
-        return eval_majorant("M", x, tol) - sgn(x)
-    if which == "phi":
-        return eval_deficit("psi", -x, tol)
-    raise ValueError(f"unknown deficit {which!r}; expected 'psi' or 'phi'")

@@ -3,11 +3,11 @@
 Everything here is vectorized over numpy arrays and returns plain floats
 (complex for ``expint_en``) for scalar input.  The public functions are
 ``sinc`` (the pi-normalized one, with exact zeros at nonzero integers),
-``triangle`` (the unit hat function), ``trigamma`` on the positive
-half-line, ``si_cin`` (the sine integral and the entire cosine integral,
-behind the closed form of G) and ``expint_en`` (the exponential integral
-E_n in the closed right half-plane, behind the tail channels, and the only
-place the package evaluates it).  They need numpy alone.
+``trigamma`` on the positive half-line, ``si_cin`` (the sine integral and
+the entire cosine integral, behind the closed form of G) and ``expint_en``
+(the exponential integral E_n in the closed right half-plane, behind the
+tail channels, and the only place the package evaluates it).  They need
+numpy alone.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-__all__ = ["sinc", "triangle", "trigamma", "si_cin", "expint_en"]
+__all__ = ["sinc", "trigamma", "si_cin", "expint_en"]
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -62,13 +62,6 @@ def sinc(x):
     z2 = (np.pi * np.minimum(absx, _SINC_TAYLOR_CUT)) ** 2
     taylor = 1.0 - (z2 / 6.0) * (1.0 - (z2 / 20.0) * (1.0 - z2 / 42.0))
     out = np.where(absx < _SINC_TAYLOR_CUT, taylor, direct)
-    return float(out) if scalar else out
-
-
-def triangle(t):
-    """The unit hat max(1 - |t|, 0)."""
-    arr, scalar = _as_array(t)
-    out = np.maximum(1.0 - np.abs(arr), 0.0)
     return float(out) if scalar else out
 
 

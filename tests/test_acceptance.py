@@ -25,7 +25,7 @@ from extremal.hilbert import (
     weighted_norm,
 )
 from extremal.integrals import integrate_with_tails, poisson_check
-from extremal.majorants import M_closed, eval_G, kernel_g
+from extremal.majorants import M_closed, kernel_g, line_integral
 from test_hilbert import brute_constant
 
 
@@ -52,7 +52,7 @@ def test_02_deficit_integral_of_heaviside_majorant():
 
 
 def test_03_value_at_origin():
-    got = eval_G(0.0, tol=1e-9)
+    got = line_integral("g", -math.inf, 0.0, 1e-9).value
     assert got == pytest.approx(1.0749, abs=5e-4)
     report(f"03 G(0) = {got:.10f} (target 1.0749, tol 5e-4)")
 

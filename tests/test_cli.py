@@ -23,7 +23,7 @@ import extremal.cli as cli
 import extremal.integrals as integrals
 from extremal._float_text import _ROWS
 from extremal.cli import main
-from extremal.majorants import G_closed, M_closed, beurling_b, phi_closed, psi_closed
+from extremal.majorants import G_closed, M_closed, beurling_b, psi_closed
 
 
 def run(capsys, *argv):
@@ -51,7 +51,7 @@ class TestEval:
             assert float(row["M"]) == M_closed(x)
             assert float(row["B"]) == beurling_b(x)
             assert float(row["psi"]) == psi_closed(x)
-            assert float(row["phi"]) == phi_closed(x)
+            assert float(row["phi"]) == psi_closed(-x)
             # G_closed calls si_cin at 2 pi x; its branches switch at 4 and 16.
             z = abs(2.0 * math.pi * x)
             branches.add("series" if z < 4.0 else "mid" if z < 16.0 else "far")

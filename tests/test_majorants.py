@@ -1,5 +1,5 @@
 """Extremal majorants of sgn and the Heaviside step: kernels, closed forms,
-quadrature evaluation, and deficit functions."""
+the quadrature cross-check of G, and deficit functions."""
 
 import math
 import warnings
@@ -17,20 +17,14 @@ from extremal.majorants import (
     ToleranceNotMetError,
     beurling_b,
     closed_columns,
-    eval_G,
-    eval_deficit,
     eval_kernel,
-    eval_majorant,
     g_minus_heaviside_closed,
-    heaviside_upper,
     kernel_H,
     kernel_g,
     kernel_h,
     line_integral,
-    phi_closed,
     psi_beurling_closed,
     psi_closed,
-    sgn,
 )
 
 # mpmath closed form at 40 digits.
@@ -73,21 +67,34 @@ def G_reference(x, mpmath):
             - x1 * sinc2 + mpmath.si(tp * x1) / mpmath.pi)
 
 
+def G_quadrature(x, tol, max_evals=10_000_000):
+    """G(x) by the second route, the quadrature of g over (-inf, x]."""
+    return line_integral("g", -math.inf, x, tol, max_evals).value
+
+
+def phi_closed(x):
+    """phi(x) = psi(-x), the reflected deficit."""
+    return psi_closed(-np.asarray(x, dtype=float))
+
+
 nonpole_floats = st.floats(-40.0, 40.0).filter(
     lambda u: min(abs(u), abs(u + 1.0)) > 1e-3
 )
 
 
 class TestSignFunctions:
+    # The conventions live in the deficits: sgn in psi = M - sgn, the
+    # Heaviside step in G - x_+^0.
     def test_sgn(self):
-        assert sgn(3.2) == 1.0
-        assert sgn(-0.001) == -1.0
-        assert sgn(0.0) == 0.0
+        assert psi_closed(3.2) == M_closed(3.2) - 1.0
+        assert psi_closed(-0.001) == M_closed(-0.001) + 1.0
+        assert psi_closed(0.0) == M_closed(0.0)  # sgn(0) = 0
 
     def test_heaviside_upper(self):
-        assert heaviside_upper(2.0) == 1.0
-        assert heaviside_upper(0.0) == 1.0  # upper semicontinuous choice
-        assert heaviside_upper(-2.0) == 0.0
+        assert g_minus_heaviside_closed(2.0) == G_closed(2.0) - 1.0
+        # upper semicontinuous choice, x_+^0(0) = 1
+        assert g_minus_heaviside_closed(0.0) == G_closed(0.0) - 1.0
+        assert g_minus_heaviside_closed(-2.0) == G_closed(-2.0)
 
 
 class TestKernels:
@@ -220,11 +227,11 @@ class TestGClosedForm:
 class TestEvalG:
     @pytest.mark.parametrize("x", [0.0, 0.5, -1.0, 2.3, -3.7, 10.0, -64.5, 80.0])
     def test_quadrature_matches_closed_form(self, x):
-        got = eval_G(x, tol=1e-10)
+        got = G_quadrature(x, 1e-10)
         assert got == pytest.approx(G_TABLE[x], rel=1e-9, abs=1e-12)
 
     def test_default_tolerance(self):
-        assert eval_G(1.3) == pytest.approx(G_closed(1.3), abs=1e-8)
+        assert G_quadrature(1.3, 1e-8) == pytest.approx(G_closed(1.3), abs=1e-8)
 
     def test_cost_follows_tol(self, monkeypatch):
         evaluations = []
@@ -236,23 +243,14 @@ class TestEvalG:
             return res
 
         monkeypatch.setattr(majorants, "integrate_adaptive", counted)
-        eval_G(0.0, tol=1e-6)
-        eval_G(0.0, tol=1e-10)
+        G_quadrature(0.0, 1e-6)
+        G_quadrature(0.0, 1e-10)
         cheap, tight = evaluations
         assert cheap < tight
 
-    @pytest.mark.parametrize("tol", [1e-13, 1e-3, 0.0, -1.0, math.nan])
-    def test_tolerance_validation(self, tol):
-        with pytest.raises(ValueError):
-            eval_G(0.0, tol=tol)
-
     def test_budget_failure_reported(self):
         with pytest.raises(ToleranceNotMetError):
-            eval_G(0.0, tol=1e-12, max_evals=200)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError):
-            eval_G(math.nan)
+            G_quadrature(0.0, 1e-12, max_evals=200)
 
 
 T = TAIL_CUTOFF
@@ -294,23 +292,22 @@ class TestMajorantSurface:
             assert M_closed(x) == pytest.approx(2.0 * G_closed(x) - 1.0, rel=1e-15)
 
     def test_eval_majorant_dispatch(self):
-        assert eval_majorant("G", 0.5) == pytest.approx(G_TABLE[0.5], rel=1e-9)
-        assert eval_majorant("M", 0.0) == pytest.approx(2.0 * G_TABLE[0.0] - 1.0, rel=1e-9)
-        # M needs G to tol/2, below the least tol eval_G accepts.
-        assert eval_majorant("M", 0.0, 1e-12) == pytest.approx(
+        assert G_quadrature(0.5, 1e-8) == pytest.approx(G_TABLE[0.5], rel=1e-9)
+        # M = 2G - 1 to tol takes G to tol / 2.
+        assert 2.0 * G_quadrature(0.0, 5e-9) - 1.0 == pytest.approx(
+            2.0 * G_TABLE[0.0] - 1.0, rel=1e-9
+        )
+        assert 2.0 * G_quadrature(0.0, 5e-13) - 1.0 == pytest.approx(
             2.0 * G_TABLE[0.0] - 1.0, abs=1e-12
         )
-        assert eval_majorant("BeurlingB", 0.5) == pytest.approx(B_TABLE[0.5], rel=1e-12)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            eval_majorant("Z", 0.0)
+        assert beurling_b(0.5) == pytest.approx(B_TABLE[0.5], rel=1e-12)
 
     def test_minorant_reflection(self):
+        # The minorant -M(-x) of sgn, M by quadrature to 1e-8.
         for x in (-1.3, 0.0, 0.4, 2.0):
-            lo = eval_majorant("MinorantOfSgn", x)
-            assert lo == pytest.approx(-eval_majorant("M", -x), rel=1e-12)
-            assert lo <= sgn(x) + 1e-9
+            lo = 1.0 - 2.0 * G_quadrature(-x, 5e-9)
+            assert lo == pytest.approx(-M_closed(-x), abs=1e-8)
+            assert lo <= np.sign(x) + 1e-9
 
     def test_majorant_property_dense_grid(self):
         x = np.linspace(-50.0, 50.0, 100_001)
@@ -327,7 +324,7 @@ class TestMajorantSurface:
 
     def test_G_majorizes_heaviside(self):
         x = np.linspace(-50.0, 50.0, 100_001)
-        assert np.all(G_closed(x) - heaviside_upper(x) >= -1e-9)
+        assert np.all(G_closed(x) - np.where(x >= 0.0, 1.0, 0.0) >= -1e-9)
         # and at the jump point, against the upper value 1
         assert G_closed(0.0) >= 1.0
 
@@ -388,18 +385,21 @@ class TestBeurling:
 
 class TestDeficits:
     def test_psi_phi_reflection(self):
-        for x in (0.0, 0.7, -1.9, 3.3):
-            assert psi_closed(x) == pytest.approx(phi_closed(-x), rel=1e-15)
+        # eval's phi column, from G(-x) of the reflected G_closed call.
+        x = np.array([0.0, 0.7, -1.9, 3.3])
+        phi = closed_columns(-x)[4]
+        np.testing.assert_allclose(psi_closed(x), phi, rtol=1e-15)
 
     def test_psi_is_M_minus_sgn(self):
         for x in (-2.0, -0.5, 0.0, 0.5, 2.0):
-            assert psi_closed(x) == pytest.approx(M_closed(x) - sgn(x), rel=1e-14)
+            assert psi_closed(x) == pytest.approx(M_closed(x) - np.sign(x), rel=1e-14)
 
     def test_eval_deficit_dispatch(self):
-        assert eval_deficit("psi", 0.5) == pytest.approx(psi_closed(0.5), abs=1e-9)
-        assert eval_deficit("phi", 0.5) == pytest.approx(phi_closed(0.5), abs=1e-9)
-        with pytest.raises(ValueError):
-            eval_deficit("chi", 0.5)
+        # psi = M - sgn and phi(x) = psi(-x), M by quadrature to 1e-8.
+        psi = 2.0 * G_quadrature(0.5, 5e-9) - 1.0 - 1.0
+        phi = 2.0 * G_quadrature(-0.5, 5e-9) - 1.0 + 1.0
+        assert psi == pytest.approx(psi_closed(0.5), abs=1e-9)
+        assert phi == pytest.approx(phi_closed(0.5), abs=1e-9)
 
     def test_nonnegative(self):
         x = np.linspace(-50.0, 50.0, 40_001)
@@ -427,7 +427,7 @@ class TestDeficits:
     def test_g_minus_heaviside(self):
         for x in (-1.0, 0.0, 1.0, 2.5):
             assert g_minus_heaviside_closed(x) == pytest.approx(
-                G_closed(x) - heaviside_upper(x), rel=1e-14, abs=1e-16
+                G_closed(x) - (1.0 if x >= 0.0 else 0.0), rel=1e-14, abs=1e-16
             )
 
     def test_beurling_deficit_examples(self):

