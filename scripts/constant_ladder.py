@@ -4,7 +4,7 @@
 The equally spaced family is the natural worst-case candidate: its constant
 climbs toward pi from below as N grows.  Prints one line per N with the
 estimate, the gap to pi, the certified error bound, and the number of
-operator applications of the Lanczos solve.
+products with the coupling matrix A of the Lanczos solve (``iters``).
 
     python3 scripts/constant_ladder.py --max-n 512
     python3 scripts/constant_ladder.py --max-n 2048 --tol 1e-10 -o ladder.csv

@@ -8,8 +8,8 @@ Given distinct reals ``lambda_n`` with nearest-neighbor separations
 which is purely imaginary, and the inequality |Phi(a)| <= C sum |a_n|^2 / delta_n.
 The best constant for a fixed node set is the spectral radius of the
 Hermitian matrix i * [sqrt(delta_n delta_m) / (lambda_m - lambda_n)], computed
-here by one Lanczos solve on the square of the underlying antisymmetric
-matrix and certified by a Hermitian residual bound; a solve that cannot
+here by one Lanczos process on the underlying antisymmetric matrix itself
+and certified by a Hermitian residual bound; a solve that cannot
 meet its ``tol`` raises :class:`extremal.quadrature.ToleranceNotMetError`,
 like every certified routine of the package.  The frequency-domain
 telescoping sum that proves the C = 2*pi bound is implemented as an
@@ -80,6 +80,10 @@ CONJECTURED_SHARP = math.pi
 
 _CACHE_LIMIT = 8192
 _CHUNK = 128
+# Lanczos vectors held at once, and steps between convergence checks (even).
+_BASIS_ROWS = 512
+_CHECK_EVERY = 8
+_EPS = float(np.finfo(float).eps)
 # Kernel entries per chunk of remark trials: about 1 MB per complex array
 # and a 4 MB peak for the whole chunk.
 _KERNEL_ENTRIES = 1 << 16
@@ -199,7 +203,7 @@ def verify_inequality(nodes, a, C):
 
 
 # ---------------------------------------------------------------------------
-# Sharp constant by one Lanczos solve on the square of the antisymmetric matrix.
+# Sharp constant by one Lanczos process on the antisymmetric matrix.
 
 def _antisym_apply(nodes):
     """Return v -> A v with A_{nm} = sqrt(delta_n delta_m)/(lambda_m - lambda_n)
@@ -235,82 +239,101 @@ def _antisym_apply(nodes):
     return apply_A
 
 
-def sharp_constant(nodes, tol=1e-10, seed=0, max_iterations=100_000):
+def _top_ritz(betas):
+    """Top eigenvalue theta of the tridiagonal S with zero diagonal and
+    ``betas`` off it, and the even-indexed half u of its eigenvector.  S is
+    bipartite: (theta^2, u) is the top eigenpair of M = B B^T, B = S[even,
+    odd], which is tridiagonal with u > 0 (Perron), found by two inverse
+    iterations shifted just above theta^2.  With OpenBLAS, ``eigh`` starts a
+    second thread from 26 rows on; ``eigvalsh`` and ``solve`` stay on one
+    up to 64."""
+    B = (np.diag(betas, 1) + np.diag(betas, -1))[::2, 1::2]
+    M = B @ B.T
+    top = float(np.linalg.eigvalsh(M)[-1])
+    M -= top * (1.0 + 8.0 * _EPS) * np.eye(len(M))
+    u = np.abs(np.linalg.solve(M, np.linalg.solve(M, np.ones(len(M)))))
+    return math.sqrt(top), u / np.linalg.norm(u)
+
+
+def sharp_constant(nodes, tol=1e-10, max_iterations=100_000):
     """Best constant C*(lambda) = sup |Phi(a)| / sum |a_n|^2/delta_n.
 
-    C* is the spectral radius mu of the Hermitian iA.  A is real
-    antisymmetric, so -A^2 = A^T A is real symmetric PSD, and each of its
-    nonzero eigenvalues is double (x and Ax share it); the top one is mu^2.
-    One ARPACK Lanczos solve (``eigsh``, largest algebraic, to machine
-    precision) asks for both copies of it: asked for one, ARPACK can let a
-    partly converged second copy into its basis through rounding and return
-    a vector with a residual near 1e-10 (seen at N = 20-70).  The start
-    vector, and any vector ARPACK draws after a breakdown, come from
-    ``seed``.  With b the top Ritz vector, the witness c = b - i A b / mu is
-    an eigenvector of iA, and the reported ``residual`` is the Hermitian
-    residual bound |mu - lambda| <= ||(iA) c + mu c|| / ||c|| (Parlett) plus
-    a floating-point floor n * eps * mu for the rounding in the matrix
-    products.  ``iterations`` counts applications of v -> -A(Av).
+    C* is the spectral radius mu of the Hermitian iA, A real antisymmetric.
+    A Lanczos process on A with full reorthogonalisation (Golub-Kahan in
+    skew form) gives a skew-tridiagonal T = Q^T A Q, and diag(i^k) takes iT
+    to the symmetric S with T's subdiagonal beta off the diagonal.  The top
+    eigenpair (theta, y) of S gives the direction b = sum_k Re(i^k) y_k q_k.
+    The process stops once beta_m |y_m| <= eps * theta, on an invariant
+    subspace, or when the basis spans the space; a full basis of
+    ``_BASIS_ROWS`` vectors restarts it from b.  The start vector is fixed,
+    so C* depends on the nodes alone.  ``iterations`` counts products with A.
 
-    Raises :class:`extremal.quadrature.ToleranceNotMetError` when the solve
-    needs more than ``max_iterations`` applications or when the residual
-    bound exceeds ``tol``: no uncertified value is returned.  It carries
-    sqrt of the Rayleigh quotient of the latest vector as ``value``, the
-    residual bound as ``err_estimate`` (``inf`` if none was taken) and the
-    applications as ``evaluations``.
+    With b normalised, c = b - i A b / mu is the witness, and ``residual``
+    is the Hermitian residual bound |mu - lambda| <= ||(iA) c + mu c|| / ||c||
+    (Parlett) from two fresh products, plus a floor n * eps * mu for their
+    rounding.  Raises :class:`extremal.quadrature.ToleranceNotMetError` when
+    the solve needs more than ``max_iterations`` products or the bound
+    exceeds ``tol``, carrying the latest ||A v|| / ||v|| as ``value``, the
+    bound as ``err_estimate`` (``inf`` if none was taken) and the products
+    as ``evaluations``: no uncertified value is returned.
     """
-    # scipy loads numpy.random anyway; ARPACK's vectors keep its stream.
-    from numpy.random import default_rng
-    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-
     tol = check_tol(tol, 1e-12)
     n = len(nodes)
     apply_A = _antisym_apply(nodes)
-    applications = 0
-    rayleigh = 0.0
-    Av = None
+    products = 0
+    estimate = 0.0
 
     def fail(message, residual=math.inf):
-        estimate = math.sqrt(rayleigh)
-        return ToleranceNotMetError(
-            f"{message} (last estimate {estimate:.12g})",
-            estimate, residual, applications,
-        )
+        message = f"{message} (last estimate {estimate:.12g})"
+        return ToleranceNotMetError(message, estimate, residual, products)
 
-    def apply_square(v):
-        nonlocal applications, rayleigh, Av
-        if applications >= max_iterations:
+    def product(v):
+        nonlocal products, estimate
+        if products >= max_iterations:
             raise fail(f"no convergence within {max_iterations} iterations")
-        applications += 1
-        v = v.reshape(-1)
+        products += 1
         Av = apply_A(v)
-        rayleigh = float(Av @ Av) / float(v @ v)
-        return -apply_A(Av)
+        estimate = math.sqrt(float(Av @ Av) / float(v @ v))
+        return Av
 
-    rng = default_rng(seed)
-    v0 = rng.standard_normal(n)
-    op = LinearOperator((n, n), matvec=apply_square, dtype=float)
-    try:
-        vals, vecs = eigsh(op, k=min(2, n - 1), which="LA", v0=v0, tol=0, rng=rng)
-    except ArpackError as exc:
-        raise fail(f"Lanczos solve failed: {exc}") from None
+    size = min(n, _BASIS_ROWS)
+    Q = np.empty((size, n))
+    b = Draws(0).standard_normal(n)
+    converged = False
+    while not converged:
+        Q[0] = b / np.linalg.norm(b)
+        betas = []
+        for m in range(1, size + 1):
+            w = product(Q[m - 1])
+            for _ in range(2):  # one pass leaves errors near eps ||A q|| / beta
+                w -= Q[:m].T @ (Q[:m] @ w)
+            beta = float(np.linalg.norm(w))
+            invariant = beta <= _EPS * estimate
+            if m == size or invariant or m % _CHECK_EVERY == _CHECK_EVERY - 1:
+                theta, u = _top_ritz(betas)
+                # For odd m the last vector has an even index: y_{m-1} = u[-1]/sqrt 2.
+                converged = m == n or invariant or (
+                    m % 2 == 1 and beta * u[-1] <= math.sqrt(2.0) * _EPS * theta)
+                if converged or m == size:
+                    break
+            betas.append(beta)
+            Q[m] = w / beta
+        b = (u * (-1.0) ** np.arange(u.size)) @ Q[:m:2]
 
-    top = vecs[:, int(np.argmax(vals))]
-    b = top / np.linalg.norm(top)
-    sq = apply_square(b)
-    mu = math.sqrt(rayleigh)
-    # apply_square(b) leaves Av = A b and rayleigh = ||A b||^2 = mu^2, so for
-    # c = b - i A b / mu: (iA) c + mu c = (A^2 b + mu^2 b) / mu, ||c|| = sqrt(2).
-    residual = (float(np.linalg.norm(sq - rayleigh * b)) / (mu * math.sqrt(2.0))
-                + n * float(np.finfo(float).eps) * mu)
+    b /= np.linalg.norm(b)
+    Ab = product(b)
+    mu = estimate
+    # For c = b - i A b / mu: (iA) c + mu c = (A^2 b + mu^2 b) / mu, ||c|| = sqrt(2).
+    residual = (float(np.linalg.norm(product(Ab) + mu * mu * b)) / (mu * math.sqrt(2.0))
+                + n * _EPS * mu)
     if residual > tol:
         raise fail(f"residual bound {residual:.3g} exceeds tol {tol:.3g}", residual)
 
     return SpectralEstimate(
         constant=mu,
-        iterations=applications,
+        iterations=products,
         residual=residual,
-        witness=(b - 1j * Av / mu) * np.sqrt(nodes.deltas),
+        witness=(b - 1j * Ab / mu) * np.sqrt(nodes.deltas),
     )
 
 
@@ -492,7 +515,7 @@ def constant_search(n_nodes, trials, seed):
 
     def evaluate(lam):
         ns = compute_deltas(lam)
-        return sharp_constant(ns, tol=1e-9, seed=int(seed)).constant
+        return sharp_constant(ns, tol=1e-9).constant
 
     baseline_lam = np.arange(1.0, n_nodes + 1.0)
     baseline = evaluate(baseline_lam)

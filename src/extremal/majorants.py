@@ -412,6 +412,8 @@ def line_integral(kind, a, b, tol, max_evals=10_000_000):
             f"unknown kernel kind {kind!r}; "
             f"expected one of {tuple(_LINE_INTEGRANDS)}"
         )
+    if not a < b:
+        raise ValueError(f"need a < b, got a = {a!r}, b = {b!r}")
     T = TAIL_CUTOFF
     lo, hi = max(a, -T), min(b, T)
     exhausted = None

@@ -105,8 +105,8 @@ class ToleranceNotMetError(RuntimeError):
     solve.
 
     Carries the best ``value`` reached, its ``err_estimate`` and the
-    ``evaluations`` spent on it (integrand evaluations or operator
-    applications).
+    ``evaluations`` spent on it (integrand evaluations or products with
+    the coupling matrix).
     """
 
     def __init__(self, message, value, err_estimate, evaluations):

@@ -399,7 +399,7 @@ class TestTopLevel:
             monkeypatch.setattr(fourier, "_panel_data", coarse)
             argv, message = ["verify"], "fixed Filon scheme"
         else:
-            # Three operator applications cannot converge at N = 64.
+            # Three products with A cannot converge at N = 64.
             monkeypatch.setattr(
                 hb, "sharp_constant",
                 functools.partial(hb.sharp_constant, max_iterations=3),
@@ -442,10 +442,10 @@ class TestTopLevel:
     def test_commands_import_nothing(self, tmp_path):
         # The package loads no scipy, no numpy.random (nor OpenSSL's
         # _hashlib behind it) and no numpy.polynomial.  Once it is imported
-        # (with the Filon panels built) verify, search --mode remark and a
-        # JSON eval load no module at all: an import inside a command adds
-        # to its run time.  The CSV formatter loads with the first CSV eval,
-        # the only command that uses it.
+        # (with the Filon panels built) verify, hilbert, both search modes
+        # and a JSON eval load no module at all: an import inside a command
+        # adds to its run time.  The CSV formatter loads with the first CSV
+        # eval, the only command that uses it.
         code = textwrap.dedent("""
             import sys
             import extremal
@@ -463,6 +463,8 @@ class TestTopLevel:
             before = set(sys.modules)
             for argv, new in (
                 (["verify", "--seed", "0"], []),
+                (["hilbert", "--nodes", sys.argv[2]], []),
+                (["search", "--mode", "constant", "--n", "8", "--trials", "3"], []),
                 (["search", "--mode", "remark", "--n", "4", "--trials", "3"], []),
                 (["eval", "--grid=-2:2:11", "--format", "json"], []),
                 (["eval", "--grid=-2:2:11"], ["extremal._float_text"]),
@@ -475,8 +477,10 @@ class TestTopLevel:
         src = os.path.dirname(os.path.dirname(hb.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        nodes = tmp_path / "nodes.txt"
+        nodes.write_text("".join(f"{k}.0\n" for k in range(1, 41)))
         proc = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "out")],
+            [sys.executable, "-c", code, str(tmp_path / "out"), str(nodes)],
             env=env, capture_output=True, text=True, timeout=300, check=False,
         )
         assert proc.returncode == 0, proc.stderr

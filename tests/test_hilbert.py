@@ -2,8 +2,6 @@
 constant, telescoping sums, and the randomized experiments."""
 
 import math
-import os
-import subprocess
 import sys
 import tracemalloc
 
@@ -36,8 +34,8 @@ from extremal import (
 )
 from extremal.fourier import numeric_ft, psi_hat
 
-# numpy.linalg.eigvalsh on the dense squared matrix (independent of the
-# Lanczos implementation under test).
+# C* from numpy.linalg.eigvalsh on the dense -A^2 (independent of the
+# Lanczos process on A under test).
 LADDER_EIG = {
     2: 1.0,
     3: 1.5,
@@ -332,8 +330,9 @@ class TestSharpConstant:
 
     @pytest.mark.parametrize("seed", [7, 17, 58])
     def test_small_system_certified(self, seed):
-        # The top eigenvalue of -A^2 is double; a solve for one copy of it left
-        # vector residuals near 1e-9 on these N = 24 systems.
+        # The top eigenvalue of -A^2 is double, and an eigensolver on -A^2 that
+        # resolves one copy of it can stall near 1e-9 on these N = 24 systems;
+        # on A itself it is the simple pair +-i C*.
         lam, _ = random_instance(np.random.default_rng(seed), 24)
         ns = compute_deltas(lam)
         est = sharp_constant(ns, tol=1e-12)
@@ -341,8 +340,8 @@ class TestSharpConstant:
         assert abs(est.constant - top) <= est.residual <= 1e-12
 
     def test_witness_reproducible(self):
-        # At N = 2, -A^2 is a multiple of I: the Lanczos process breaks down at
-        # once and ARPACK draws a fresh vector, which must come from ``seed``.
+        # At N = 2 the Lanczos basis spans the space after two vectors; the
+        # witness comes from the fixed start vector alone.
         ns = compute_deltas([1.0, 2.0])
         first = sharp_constant(ns).witness
         for _ in range(8):
@@ -388,14 +387,32 @@ class TestSharpConstant:
             unit[j] = 1.0
             assert np.array_equal(apply_A(unit), expected[j])
 
-    def test_import_leaves_sparse_linalg_unloaded(self):
-        # The solver imports scipy.sparse.linalg on first use, which keeps it
-        # out of the start-up cost of every other command.
-        src = os.path.dirname(os.path.dirname(hb.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = "import sys, extremal; sys.exit('scipy.sparse.linalg' in sys.modules)"
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    def test_restarts_from_the_witness(self, monkeypatch):
+        # A 16-vector basis fills many times at N = 300; each restart begins
+        # from the latest witness direction.
+        lam = np.arange(300.0) + np.random.default_rng(31).uniform(-0.3, 0.3, 300)
+        monkeypatch.setattr(hb, "_BASIS_ROWS", 16)
+        est = sharp_constant(compute_deltas(lam), tol=1e-10)
+        assert est.iterations > 16 + 2
+        assert est.constant == pytest.approx(brute_constant(lam), abs=est.residual)
+
+    @pytest.mark.parametrize("n", [2, 64, 300])
+    def test_iterations_count_products(self, monkeypatch, n):
+        calls = []
+        build = hb._antisym_apply
+
+        def counting(nodes):
+            apply_A = build(nodes)
+
+            def apply(v):
+                calls.append(v.shape)
+                return apply_A(v)
+
+            return apply
+
+        monkeypatch.setattr(hb, "_antisym_apply", counting)
+        est = sharp_constant(compute_deltas(np.arange(1.0, n + 1.0)))
+        assert est.iterations == len(calls)
 
 
 class TestBounds:

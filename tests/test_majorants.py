@@ -285,6 +285,13 @@ class TestLineIntegral:
         with pytest.raises(ValueError):
             line_integral("h", 0.0, 1.0, 1e-8)
 
+    @pytest.mark.parametrize("a,b", [
+        (-math.inf, math.nan), (math.nan, 1.0), (2.0, 1.0), (1.0, 1.0),
+    ])
+    def test_empty_or_nan_interval_rejected(self, a, b):
+        with pytest.raises(ValueError, match="a < b"):
+            line_integral("g", a, b, 1e-8)
+
 
 class TestMajorantSurface:
     def test_M_is_affine_in_G(self):
