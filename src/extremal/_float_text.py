@@ -31,9 +31,9 @@ __all__ = ["csv_bytes"]
 
 # Rows formatted at a time, and the rows of each block eval evaluates.  The
 # workspace takes 205 bytes a value, 1.26 MB for eval's six columns.  With
-# this at 2048 the peak RSS of `extremal eval` on 100,001 points rose from
-# 41.8 to 43.6 MB; at 512 it fell to 41.0 MB, but eval took a quarter
-# longer.
+# this at 2048 the peak RSS of a cold `extremal eval` on 100,001 points
+# rose from 32.4 to 34.5 MB; at 512 it fell to 31.8 MB, but eval took a
+# quarter longer.
 _ROWS = 1024
 
 _MANT_BITS = 52

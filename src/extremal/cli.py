@@ -13,9 +13,9 @@ The parser is built once, at import, and each ``cmd_*`` reads the parsed
 namespace.  Argument errors print argparse's usage line to stderr.
 
 Exit codes: 0 success, 1 verification failure, 2 usage/input error (out
-of memory included), 3 numerical failure: a routine could not meet its
-tolerance within its budget (``ToleranceNotMetError``) or an arithmetic
-check failed.  Reports are deterministic for a fixed seed (no
+of memory and a full disk included), 3 numerical failure: a routine could
+not meet its tolerance within its budget (``ToleranceNotMetError``) or an
+arithmetic check failed.  Reports are deterministic for a fixed seed (no
 timestamps).  CSV floats are the shortest text that reads back to the
 same double, byte for byte Python's ``repr``, formatted in bulk by
 :mod:`extremal._float_text` (imported by ``eval`` alone), every row block
@@ -109,10 +109,30 @@ def _parse_grid(text):
     return a, b, n
 
 
+def _grid_blocks(a, b, n, rows):
+    """The points of ``np.linspace(a, b, n)``, ``rows`` at a time, each
+    block made by linspace's own arithmetic, so the values are the same to
+    the bit and the whole grid is never held."""
+    div = n - 1
+    delta = b - a
+    step = delta / div
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        x = np.arange(start, stop, dtype=float)
+        if step == 0:  # a subnormal span: linspace divides first
+            x /= div
+            x *= delta
+        else:
+            x *= step
+        x += a
+        if stop == n:
+            x[-1] = b
+        yield x
+
+
 def cmd_eval(args):
     a, b, n = args.grid
     tol = check_tol(args.tol, 1e-12, 1e-4)
-    x = np.linspace(a, b, n)
 
     def table(xs):
         # One table feeds the CSV rows and the JSON columns, in the order
@@ -124,10 +144,11 @@ def cmd_eval(args):
         from ._float_text import _ROWS, csv_bytes
 
         # The closed forms are elementwise, so each row block of the
-        # formatter is evaluated, formatted and written on its own: memory
-        # holds the grid, one block and the formatter's workspace, whatever
-        # the grid size, and the closed forms' temporaries stay small.
-        blocks = (table(x[start:start + _ROWS]) for start in range(0, n, _ROWS))
+        # formatter is made, evaluated, formatted and written on its own:
+        # memory holds no grid, only one block and the formatter's
+        # workspace, whatever the grid size, and the closed forms'
+        # temporaries stay small.
+        blocks = (table(x) for x in _grid_blocks(a, b, n, _ROWS))
         with _output(args.output, binary=True) as fh:
             fh.write((",".join(_EVAL_COLUMNS) + "\n").encode("ascii"))
             for text in csv_bytes(blocks):
@@ -139,7 +160,8 @@ def cmd_eval(args):
             "tolerance_requested": tol,
             "tolerance_achieved": 5e-14,  # closed forms; see the majorant tests
             "columns": {name: c.tolist()
-                        for name, c in zip(_EVAL_COLUMNS, table(x))},
+                        for name, c in zip(_EVAL_COLUMNS,
+                                           table(np.linspace(a, b, n)))},
         }
         _emit_json(report, args.output)
     return 0

@@ -12,8 +12,8 @@ with T = :data:`extremal.majorants.TAIL_CUTOFF` = 64, integrate each
 polynomial against exp(-2 pi i x t) exactly via monomial moments, and add
 the closed-form channel tails from :mod:`extremal.majorants` beyond T,
 which come from inverse-power series alone, for every kind and frequency.
-The panels (5,632 kernel evaluations) are built on each call; frequencies go
-in fixed-size blocks.
+The panels (5,632 kernel evaluations) are built on each call, their kernel
+points and the frequencies both in fixed-size blocks.
 """
 
 from __future__ import annotations
@@ -172,7 +172,8 @@ _CHEB_NODES, _CHEB_V, _CHEB_C2P = _chebyshev_setup()
 _EDGES = np.arange(-TAIL_CUTOFF, TAIL_CUTOFF + 0.5 * _FT_PANEL, _FT_PANEL)
 _CENTERS = 0.5 * (_EDGES[:-1] + _EDGES[1:])
 
-# Frequencies per block: bounds the working set at ~3 MB for any input size.
+# Frequencies per block of a transform, and panels per block of the kernel
+# evaluations: bounds the working set at ~3 MB for any input size.
 _FT_BLOCK = 128
 
 
@@ -181,8 +182,13 @@ def _panel_data(kind):
     the number of kernel evaluations."""
     f = _FT_KERNELS[kind]
     half = 0.5 * _FT_PANEL
-    xs = _CENTERS[:, None] + half * _CHEB_NODES[None, :]
-    vals = f(xs.ravel()).reshape(xs.shape)
+    # The kernels are elementwise, so _FT_BLOCK panels (1,408 points) at a
+    # time give the same values as one call, with a quarter of its
+    # temporaries.
+    vals = np.empty((_CENTERS.size, _CHEB_NODES.size))
+    for start in range(0, _CENTERS.size, _FT_BLOCK):
+        xs = _CENTERS[start : start + _FT_BLOCK, None] + half * _CHEB_NODES
+        vals[start : start + _FT_BLOCK] = f(xs.ravel()).reshape(xs.shape)
     cheb_coeffs = vals @ _CHEB_V.T
     mono = cheb_coeffs @ _CHEB_C2P.T
     # Interpolation error per panel ~ size of the trailing coefficients;
@@ -190,7 +196,7 @@ def _panel_data(kind):
     est = 1.5 * _FT_PANEL * float(
         np.sum(np.abs(cheb_coeffs[:, -2]) + np.abs(cheb_coeffs[:, -1]))
     )
-    return mono, est, xs.size
+    return mono, est, vals.size
 
 
 def _moments(omega):

@@ -16,6 +16,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import extremal.fourier as fourier
 import extremal.hilbert as hb
@@ -130,6 +132,67 @@ class TestEval:
         finally:
             tracemalloc.stop()
         assert peak - 8 * n < 4_000_000
+
+    def test_csv_memory_does_not_grow_with_n(self, tmp_path):
+        # CSV output holds no grid: a hundred times the points leaves the
+        # peak where it was, within a few closed-form temporaries.
+        path = str(tmp_path / "t.csv")
+        assert main(["eval", "--grid=-50:50:3", "-o", path]) == 0  # lazy tables
+        peaks = {}
+        for n in (3_001, 300_001):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert main(["eval", f"--grid=-50:50:{n}", "-o", path]) == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[300_001] - peaks[3_001]) <= 64_000
+
+    @staticmethod
+    def assert_streams_linspace(a, b, n):
+        # Near the largest doubles, (N - 1) steps can overflow before the
+        # last point is set to B, in linspace as in the blocks.
+        with np.errstate(over="ignore"):
+            blocks = list(cli._grid_blocks(a, b, n, _ROWS))
+            whole = np.linspace(a, b, n)
+        assert [len(x) for x in blocks[:-1]] == [_ROWS] * (len(blocks) - 1)
+        assert np.concatenate(blocks).tobytes() == whole.tobytes()
+        assert blocks[-1][-1] == b
+
+    @pytest.mark.parametrize(
+        "a, b, n",
+        [(-5.0, 5.0, 2), (0.0, 1.0, 2)]
+        + [(-5.0, 5.0, n) for n in (_ROWS - 1, _ROWS, _ROWS + 1, 2 * _ROWS + 1)]
+        + [(-3.25, 17.5, 2 * _ROWS + 1), (0.0, 1.7e308, 3)],
+    )
+    def test_streamed_grid_is_linspace(self, a, b, n):
+        self.assert_streams_linspace(a, b, n)
+
+    def test_streamed_grid_subnormal_span(self):
+        # The step rounds to zero, so linspace divides by N - 1 first and
+        # then multiplies by the span; the blocks must do the same.
+        a, b, n = 0.0, 5e-322, 2 * _ROWS + 1
+        assert (b - a) / (n - 1) == 0.0
+        self.assert_streams_linspace(a, b, n)
+
+    def test_streamed_grid_ends_exactly_at_b(self):
+        # Here the last point by the step alone falls short of B.
+        a, b, n = -50.5, 50.5, 3001
+        assert a + (n - 1) * ((b - a) / (n - 1)) != b
+        self.assert_streams_linspace(a, b, n)
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(2, 3 * _ROWS + 2),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_streamed_grid_is_linspace_property(self, a, b, n):
+        assume(a != b)
+        a, b = min(a, b), max(a, b)
+        assume(math.isfinite(b - a))
+        self.assert_streams_linspace(a, b, n)
 
     def test_huge_grid_is_quiet(self, capsys):
         # No overflow warning from the closed forms far from the origin.
