@@ -21,17 +21,16 @@ from .majorants import (
     M_closed,
     beurling_b,
     eval_kernel,
+    line_integral,
     psi_beurling_closed,
     psi_closed,
 )
-from .integrals import integrate_with_tails, poisson_check
 from .fourier import (
     band_limit_check,
     g_hat,
     numeric_ft,
     psi_beurling_hat,
     psi_hat,
-    psi_hat_scaled,
 )
 from .hilbert import (
     BOUND_FOURIER,
@@ -66,16 +65,14 @@ __all__ = [
     "M_closed",
     "beurling_b",
     "eval_kernel",
+    "line_integral",
     "psi_beurling_closed",
     "psi_closed",
-    "integrate_with_tails",
-    "poisson_check",
     "band_limit_check",
     "g_hat",
     "numeric_ft",
     "psi_beurling_hat",
     "psi_hat",
-    "psi_hat_scaled",
     "BOUND_FOURIER",
     "BOUND_MONTGOMERY_VAUGHAN",
     "BOUND_PREISSMANN",

@@ -28,19 +28,21 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 import types
 
 import numpy as np
 
 from . import hilbert as hb
-from . import integrals
 from ._draws import Draws
 from .fourier import band_limit_check, g_hat, numeric_ft, psi_hat
 from .majorants import (
     closed_columns,
     kernel_g,
+    kernel_H,
     kernel_h,
+    line_integral,
     psi_beurling_closed,
     psi_closed,
 )
@@ -112,7 +114,8 @@ def _parse_grid(text):
 def _grid_blocks(a, b, n, rows):
     """The points of ``np.linspace(a, b, n)``, ``rows`` at a time, each
     block made by linspace's own arithmetic, so the values are the same to
-    the bit and the whole grid is never held."""
+    the bit and the whole grid is never held.  Only the last point's
+    (n - 1) * step can overflow, and it is overwritten with ``b``."""
     div = n - 1
     delta = b - a
     step = delta / div
@@ -123,7 +126,8 @@ def _grid_blocks(a, b, n, rows):
             x /= div
             x *= delta
         else:
-            x *= step
+            with np.errstate(over="ignore"):
+                x *= step
         x += a
         if stop == n:
             x[-1] = b
@@ -134,34 +138,34 @@ def cmd_eval(args):
     a, b, n = args.grid
     tol = check_tol(args.tol, 1e-12, 1e-4)
 
-    def table(xs):
-        # One table feeds the CSV rows and the JSON columns, in the order
-        # of _EVAL_COLUMNS.
-        return (xs, *closed_columns(xs))
+    def tables(rows):
+        # One table per block of the grid, in the order of _EVAL_COLUMNS,
+        # feeds the CSV rows and the JSON columns alike.  The closed forms
+        # are elementwise, so memory holds one block of the grid and its
+        # closed-form temporaries, whatever the grid size.
+        return ((x, *closed_columns(x)) for x in _grid_blocks(a, b, n, rows))
 
     if args.format == "csv":
         # Only eval formats floats, so only eval loads the formatter.
         from ._float_text import _ROWS, csv_bytes
 
-        # The closed forms are elementwise, so each row block of the
-        # formatter is made, evaluated, formatted and written on its own:
-        # memory holds no grid, only one block and the formatter's
-        # workspace, whatever the grid size, and the closed forms'
-        # temporaries stay small.
-        blocks = (table(x) for x in _grid_blocks(a, b, n, _ROWS))
+        # Each row block of the formatter is made, evaluated, formatted
+        # and written on its own, in the formatter's one workspace.
         with _output(args.output, binary=True) as fh:
             fh.write((",".join(_EVAL_COLUMNS) + "\n").encode("ascii"))
-            for text in csv_bytes(blocks):
+            for text in csv_bytes(tables(_ROWS)):
                 fh.write(text)
     else:
+        columns = {name: [] for name in _EVAL_COLUMNS}
+        for table in tables(1024):  # any block size gives the same columns
+            for name, c in zip(_EVAL_COLUMNS, table):
+                columns[name].extend(c.tolist())
         report = {
             "command": "eval",
             "grid": {"start": a, "stop": b, "steps": n},
             "tolerance_requested": tol,
             "tolerance_achieved": 5e-14,  # closed forms; see the majorant tests
-            "columns": {name: c.tolist()
-                        for name, c in zip(_EVAL_COLUMNS,
-                                           table(np.linspace(a, b, n)))},
+            "columns": columns,
         }
         _emit_json(report, args.output)
     return 0
@@ -185,35 +189,33 @@ def cmd_verify(args):
     rng = Draws(args.seed)
     checks = []
 
-    targets = {"g": 1.0, "psi": 2.0, "G_minus_heaviside": 1.0, "H": 1.0}
-    for kind in ("g", "psi", "G_minus_heaviside"):
-        res = integrals.integrate_with_tails(kind, tol)
-        checks.append(
-            _check(f"integral_{kind}", res.value - targets[kind], tol)
-        )
+    # The deficit integrals: int g = 1, int psi = int (M - sgn) = 2 and
+    # int (G - x_+^0) = 1.
+    for kind, exact in (("g", 1.0), ("psi", 2.0), ("G_minus_heaviside", 1.0)):
+        res = line_integral(kind, -math.inf, math.inf, tol)
+        checks.append(_check(f"integral_{kind}", res.value - exact, tol))
 
-    for kind in ("g", "H"):
-        total, integral = integrals.poisson_check(kind, 100)
+    # Poisson summation: the sum over the integers is exactly 1 for g and
+    # H (only n = -1 contributes; every other n is an exact zero of the
+    # reduced-argument sinc), as is the integral over the line.
+    lattice = np.arange(-100.0, 101.0)
+    for kind, kernel in (("g", kernel_g), ("H", kernel_H)):
+        total = math.fsum(kernel(lattice).tolist())
+        integral = line_integral(kind, -math.inf, math.inf, 1e-9).value
         checks.append(_check(f"poisson_sum_{kind}", total - 1.0, 1e-14))
         checks.append(
             _check(f"poisson_integral_{kind}", integral - 1.0, 1e-8)
         )
 
-    moments = integrals.half_line_moments(tol)
-    checks.append(
-        _check(
-            "moment_identity_negative_axis",
-            moments["negative_axis_G_integral"] - moments["negative_axis_moment"],
-            1e-8,
+    # The half-line exchange identities (H = -u g):
+    #   int_{-inf}^0 G = int_{-inf}^0 H,  int_0^inf (G - 1) = int_0^inf H,
+    # each integral to tol / 2.
+    for axis, a, b in (("negative", -math.inf, 0.0), ("positive", 0.0, math.inf)):
+        G_part = line_integral("G_minus_heaviside", a, b, 0.5 * tol).value
+        moment = line_integral("H", a, b, 0.5 * tol).value
+        checks.append(
+            _check(f"moment_identity_{axis}_axis", G_part - moment, 1e-8)
         )
-    )
-    checks.append(
-        _check(
-            "moment_identity_positive_axis",
-            moments["positive_axis_G_integral"] - moments["positive_axis_moment"],
-            1e-8,
-        )
-    )
 
     band_grid = [1.25, 2.0, 3.5, 5.0, 10.0, -1.25, -2.0]
     checks.append(

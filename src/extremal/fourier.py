@@ -4,9 +4,9 @@ Convention: f_hat(t) = integral f(x) exp(-2 pi i x t) dx.
 
 Closed forms: ``g_hat`` (piecewise elementary, supported on [-1, 1]), the
 deficit transforms ``psi_hat`` (of M) and ``psi_beurling_hat`` (of B), both
--1/(pi i t) on |t| >= 1 and the kernels of the telescoping sum, and the
-scaling law ``psi_hat_scaled``.  ``numeric_ft``, the independent check of
-those closed forms, is a Filon scheme: interpolate the (non-oscillatory)
+-1/(pi i t) on |t| >= 1 and the kernels of the telescoping sum.
+``numeric_ft``, the independent check of those closed forms, is a Filon
+scheme: interpolate the (non-oscillatory)
 kernel by Chebyshev polynomials on fixed panels of width 1/4 over [-T, T]
 with T = :data:`extremal.majorants.TAIL_CUTOFF` = 64, integrate each
 polynomial against exp(-2 pi i x t) exactly via monomial moments, and add
@@ -17,8 +17,6 @@ points and the frequencies both in fixed-size blocks.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -36,7 +34,6 @@ __all__ = [
     "g_hat",
     "psi_hat",
     "psi_beurling_hat",
-    "psi_hat_scaled",
     "numeric_ft",
     "band_limit_check",
 ]
@@ -122,16 +119,6 @@ def psi_beurling_hat(t):
     h[big] = cot - 1.0 / x[big]
     out[inside] = (1.0 - a) * (1.0 - 1j * np.sign(flat[inside]) * h)
     return complex(out[0]) if scalar else out.reshape(arr.shape)
-
-
-def psi_hat_scaled(delta, t):
-    """Transform of the delta-rescaled deficit: delta^{-1} psi_hat(t/delta)."""
-    delta = float(delta)
-    if not (delta > 0.0 and math.isfinite(delta)):
-        raise ValueError("delta must be a positive finite real")
-    arr, scalar = _as_array(t)
-    out = psi_hat(arr / delta) / delta
-    return complex(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ import numpy as np
 from .quadrature import (
     QuadResult,
     ToleranceNotMetError,
+    check_tol,
     integrate_adaptive,
     modulated_tail,
 )
@@ -52,6 +53,7 @@ __all__ = [
     "psi_beurling_closed",
     "g_minus_heaviside_closed",
     "tail_transform",
+    "line_integral",
     "TAIL_KINDS",
     "TAIL_CUTOFF",
     "ToleranceNotMetError",
@@ -405,8 +407,10 @@ def line_integral(kind, a, b, tol, max_evals=10_000_000):
     infinite end.  Returns a :class:`QuadResult` whose estimate sums the
     quadrature and tail bounds.  Raises :class:`ToleranceNotMetError`,
     carrying the value, the estimate and the integrand evaluations, when
-    the evaluation budget runs out or the estimate exceeds ``tol``.
+    the evaluation budget runs out or the estimate exceeds ``tol``, and
+    ``ValueError`` for a ``tol`` that is NaN or below the least subnormal.
     """
+    tol = check_tol(tol, math.ulp(0.0))
     if kind not in _LINE_INTEGRANDS:
         raise ValueError(
             f"unknown kernel kind {kind!r}; "

@@ -24,8 +24,7 @@ from extremal.hilbert import (
     verify_inequality,
     weighted_norm,
 )
-from extremal.integrals import integrate_with_tails, poisson_check
-from extremal.majorants import M_closed, kernel_g, line_integral
+from extremal.majorants import M_closed, kernel_H, kernel_g, line_integral
 from test_hilbert import brute_constant
 
 
@@ -33,9 +32,13 @@ def report(line):
     print(f"PASS  {line}")
 
 
+def whole_line(kind, tol):
+    return line_integral(kind, -math.inf, math.inf, tol)
+
+
 def test_01_deficit_integral_of_monotone_majorant():
     start = time.perf_counter()
-    res = integrate_with_tails("psi", tol=1e-9)
+    res = whole_line("psi", 1e-9)
     elapsed = time.perf_counter() - start
     assert res.value == pytest.approx(2.0, abs=1e-8)
     assert elapsed < 5.0
@@ -46,7 +49,7 @@ def test_01_deficit_integral_of_monotone_majorant():
 
 
 def test_02_deficit_integral_of_heaviside_majorant():
-    res = integrate_with_tails("G_minus_heaviside", tol=1e-9)
+    res = whole_line("G_minus_heaviside", 1e-9)
     assert res.value == pytest.approx(1.0, abs=1e-8)
     report(f"02 whole-line integral of (G - step) = {res.value:.12f} (target 1, tol 1e-8)")
 
@@ -58,10 +61,11 @@ def test_03_value_at_origin():
 
 
 def test_04_kernel_normalization_and_poisson():
-    res = integrate_with_tails("g", tol=1e-9)
+    res = whole_line("g", 1e-9)
     assert res.value == pytest.approx(1.0, abs=1e-8)
-    sum_g, int_g = poisson_check("g", truncation=100)
-    sum_H, int_H = poisson_check("H", truncation=100)
+    n = np.arange(-100.0, 101.0)
+    sum_g, int_g = math.fsum(kernel_g(n).tolist()), res.value
+    sum_H, int_H = math.fsum(kernel_H(n).tolist()), whole_line("H", 1e-9).value
     assert sum_g == 1.0  # exact: only the n = -1 lattice point is nonzero
     assert sum_H == 1.0
     assert int_g == pytest.approx(1.0, abs=1e-8)

@@ -4,7 +4,7 @@ shows up here as a test diff."""
 import pytest
 
 import extremal
-from extremal import fourier, hilbert, integrals, majorants, quadrature, specfun
+from extremal import fourier, hilbert, majorants, quadrature, specfun
 
 
 def test_public_names():
@@ -18,16 +18,14 @@ def test_public_names():
         "M_closed",
         "beurling_b",
         "eval_kernel",
+        "line_integral",
         "psi_beurling_closed",
         "psi_closed",
-        "integrate_with_tails",
-        "poisson_check",
         "band_limit_check",
         "g_hat",
         "numeric_ft",
         "psi_beurling_hat",
         "psi_hat",
-        "psi_hat_scaled",
         "BOUND_FOURIER",
         "BOUND_MONTGOMERY_VAUGHAN",
         "BOUND_PREISSMANN",
@@ -53,7 +51,7 @@ def test_public_names():
 
 
 @pytest.mark.parametrize(
-    "module", [majorants, specfun, fourier, hilbert, quadrature, integrals],
+    "module", [majorants, specfun, fourier, hilbert, quadrature],
     ids=lambda module: module.__name__,
 )
 def test_submodule_names_exist(module):

@@ -22,10 +22,15 @@ from hypothesis import strategies as st
 import extremal.fourier as fourier
 import extremal.hilbert as hb
 import extremal.cli as cli
-import extremal.integrals as integrals
 from extremal._float_text import _ROWS
 from extremal.cli import main
-from extremal.majorants import G_closed, M_closed, beurling_b, psi_closed
+from extremal.majorants import (
+    G_closed,
+    M_closed,
+    beurling_b,
+    closed_columns,
+    psi_closed,
+)
 
 
 def run(capsys, *argv):
@@ -100,14 +105,16 @@ class TestEval:
                 4095, 4096, 4097, 8193}),
     )
     def test_csv_spanning_several_row_blocks(self, n, capsys):
-        # The CSV is evaluated and written one row block at a time, the JSON
-        # from the whole grid at once; on either side of a block boundary
-        # the two must give the same table, byte for byte.
+        # CSV and JSON are both evaluated one row block at a time; on either
+        # side of a block boundary each must give the whole grid's table,
+        # the CSV byte for byte.
+        x = np.linspace(-5.0, 5.0, n)
+        names = ["x", "G", "M", "B", "psi", "phi"]
+        whole = {name: c.tolist() for name, c in zip(names, (x, *closed_columns(x)))}
         _, out, _ = run(capsys, "eval", f"--grid=-5:5:{n}")
         _, js, _ = run(capsys, "eval", f"--grid=-5:5:{n}", "--format", "json")
-        cols = json.loads(js)["columns"]
-        names = ["x", "G", "M", "B", "psi", "phi"]
-        rows = zip(*(cols[name] for name in names))
+        assert json.loads(js)["columns"] == whole
+        rows = zip(*(whole[name] for name in names))
         expected = [",".join(names)] + [",".join(repr(v) for v in row) for row in rows]
         assert out == "\n".join(expected) + "\n"
 
@@ -206,6 +213,15 @@ class TestEval:
         code, out, err = run(capsys, "eval", "--grid", "0:1.7e308:3")
         assert code == 0 and err == ""
         assert out.strip().splitlines()[-1] == "1.7e+308,1.0,1.0,1.0,0.0,0.0"
+        # Up to the largest double, (N - 1) * step overflows; that point is
+        # set to B, in both formats.
+        grid = "0:1.7976931348623157e308:73"
+        code, out, err = run(capsys, "eval", "--grid", grid)
+        assert code == 0 and err == ""
+        assert out.strip().splitlines()[-1].startswith("1.7976931348623157e+308,")
+        code, out, err = run(capsys, "eval", "--grid", grid, "--format", "json")
+        assert code == 0 and err == ""
+        assert json.loads(out)["columns"]["x"][-1] == sys.float_info.max
 
     @pytest.mark.parametrize(
         "grid",
@@ -445,10 +461,10 @@ class TestTopLevel:
         # budget too small for its tol; every refusal is exit 3.
         if site == "integrate_adaptive":
             # verify's first integral on an 800-evaluation budget.
-            with_tails = integrals.integrate_with_tails
+            integral = cli.line_integral
             monkeypatch.setattr(
-                integrals, "integrate_with_tails",
-                lambda kind, tol: with_tails(kind, tol, max_evals=800),
+                cli, "line_integral",
+                lambda kind, a, b, tol: integral(kind, a, b, tol, max_evals=800),
             )
             argv, message = ["verify"], "quadrature budget exhausted"
         elif site == "numeric_ft":

@@ -18,8 +18,8 @@ from extremal.fourier import (
     numeric_ft,
     psi_beurling_hat,
     psi_hat,
-    psi_hat_scaled,
 )
+from extremal.hilbert import _deficit_hat_matrix
 from extremal.majorants import TAIL_CUTOFF, kernel_H, tail_transform
 from extremal.quadrature import ToleranceNotMetError
 from test_specfun import triangle
@@ -166,25 +166,30 @@ class TestPsiBeurlingHat:
 
 
 class TestPsiHatScaled:
+    """The rescaled deficit transform delta^{-1} psi_hat(t / delta), the
+    kernel of the telescoping sum."""
+
+    @staticmethod
+    def scaled(delta, t):
+        return _deficit_hat_matrix("M", delta, np.asarray(t, dtype=float))
+
     def test_scaling_law(self):
-        for delta in (0.5, 1.0, 2.0, 7.3):
-            for t in (0.0, 0.3, 1.1, -2.2):
-                got = psi_hat_scaled(delta, t)
-                assert abs(got - psi_hat(t / delta) / delta) < 1e-15
+        # Elementwise over a delta column broadcast against a t row.
+        deltas = np.array([0.5, 1.0, 2.0, 7.3])
+        ts = np.array([0.0, 0.3, 1.1, -2.2])
+        got = self.scaled(deltas[:, None], ts[None, :])
+        for i, delta in enumerate(deltas):
+            for j, t in enumerate(ts):
+                assert abs(got[i, j] - psi_hat(t / delta) / delta) < 1e-15
 
     def test_zero_frequency(self):
-        assert psi_hat_scaled(4.0, 0.0) == pytest.approx(0.5, rel=1e-15)
+        assert self.scaled(4.0, 0.0) == pytest.approx(0.5, rel=1e-15)
 
     def test_band_shrinks_with_delta(self):
         # Once |t| >= delta the transform is pinned to i/(pi t).
         delta = 0.25
         for t in (0.25, 0.3, 1.0):
-            assert psi_hat_scaled(delta, t) == 1j / (math.pi * t)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_delta_validation(self, bad):
-        with pytest.raises(ValueError):
-            psi_hat_scaled(bad, 0.5)
+            assert self.scaled(delta, t) == 1j / (math.pi * t)
 
 
 class TestNumericFT:

@@ -1,11 +1,12 @@
 """Whole-line integrals with analytic tail channels, Poisson summation, and
-the half-line moment identities."""
+the half-line moment identities, all through ``line_integral``."""
 
 import math
 
+import numpy as np
 import pytest
 
-from extremal.integrals import half_line_moments, integrate_with_tails, poisson_check
+from extremal.majorants import kernel_g, kernel_H, line_integral
 from extremal.quadrature import ToleranceNotMetError
 
 EXACT_INTEGRALS = {
@@ -16,17 +17,21 @@ EXACT_INTEGRALS = {
 }
 
 
+def whole_line(kind, tol, max_evals=10_000_000):
+    return line_integral(kind, -math.inf, math.inf, tol, max_evals)
+
+
 class TestIntegrateWithTails:
     @pytest.mark.parametrize("kind,exact", sorted(EXACT_INTEGRALS.items()))
     def test_exact_values(self, kind, exact):
-        res = integrate_with_tails(kind, tol=1e-10)
+        res = whole_line(kind, 1e-10)
         assert res.value == pytest.approx(exact, abs=1e-11)
         assert res.err_estimate < 1e-9
 
     @pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
     @pytest.mark.parametrize("kind", sorted(EXACT_INTEGRALS))
     def test_error_estimate_honest(self, kind, tol):
-        res = integrate_with_tails(kind, tol=tol)
+        res = whole_line(kind, tol)
         assert abs(res.value - EXACT_INTEGRALS[kind]) <= res.err_estimate + 1e-13
 
     @pytest.mark.parametrize("kind", sorted(EXACT_INTEGRALS))
@@ -34,59 +39,71 @@ class TestIntegrateWithTails:
         # The closed-form tails are exact beyond |x| = 64, so the numerical
         # window stays there at any tolerance (a tol-dependent window of
         # 31,623 cost psi 1.9 M evaluations at tol 1e-9).
-        assert integrate_with_tails(kind, tol=1e-9).evaluations <= 10_000
+        assert whole_line(kind, 1e-9).evaluations <= 10_000
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):
-            integrate_with_tails("sgn")
+            whole_line("sgn", 1e-8)
 
     def test_tol_floor(self):
-        with pytest.raises(ValueError):
-            integrate_with_tails("g", tol=1e-11)
-        with pytest.raises(ValueError):
-            integrate_with_tails("g", tol=math.nan)
-        with pytest.raises(ValueError):
-            half_line_moments(tol=math.nan)
+        for tol in (math.nan, -1.0, 0.0):
+            with pytest.raises(ValueError):
+                whole_line("g", tol)
+            with pytest.raises(ValueError):
+                line_integral("H", 0.0, math.inf, tol)
 
     def test_budget_failure_reported(self):
         with pytest.raises(ToleranceNotMetError) as info:
-            integrate_with_tails("g", 1e-10, max_evals=200)
+            whole_line("g", 1e-10, max_evals=200)
         assert info.value.err_estimate > 1e-10
         assert math.isfinite(info.value.value)
 
     def test_looser_tolerance_cheaper(self):
-        cheap = integrate_with_tails("g", tol=1e-6)
-        tight = integrate_with_tails("g", tol=1e-10)
+        cheap = whole_line("g", 1e-6)
+        tight = whole_line("g", 1e-10)
         assert cheap.evaluations < tight.evaluations
         assert cheap.value == pytest.approx(1.0, abs=2e-6)
+
+
+def lattice_sum(kernel, truncation):
+    """The sum of ``kernel`` over the integers |n| <= truncation."""
+    n = np.arange(-truncation, truncation + 1, dtype=float)
+    return math.fsum(kernel(n).tolist())
 
 
 class TestPoissonCheck:
     @pytest.mark.parametrize("kind", ["g", "H"])
     def test_sum_exactly_one(self, kind):
-        total, integral = poisson_check(kind, truncation=50)
         # Only the n = -1 lattice point contributes; all other integer
         # values vanish identically, so the sum is exact.
-        assert total == 1.0
-        assert integral == pytest.approx(1.0, abs=1e-8)
-
-    def test_truncation_floor(self):
-        with pytest.raises(ValueError):
-            poisson_check("g", truncation=5)
-
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            poisson_check("psi", truncation=50)
+        kernel = {"g": kernel_g, "H": kernel_H}[kind]
+        assert lattice_sum(kernel, 50) == 1.0
+        assert whole_line(kind, 1e-9).value == pytest.approx(1.0, abs=1e-8)
 
     def test_truncation_independent(self):
-        a, _ = poisson_check("g", truncation=10)
-        b, _ = poisson_check("g", truncation=500)
-        assert a == b == 1.0
+        assert lattice_sum(kernel_g, 10) == lattice_sum(kernel_g, 500) == 1.0
+
+
+def half_line_parts(tol):
+    """Both sides of the half-line exchange identities tying G to the first
+    moment of g (H = -u g), each integral to ``tol``:
+
+        integral_{-inf}^{0} G(x) dx      = integral_{-inf}^{0} H(u) du
+        integral_{0}^{inf} (G(x)-1) dx   = integral_{0}^{inf} H(u) du
+    """
+    parts = {
+        "negative_axis_G_integral": ("G_minus_heaviside", -math.inf, 0.0),
+        "negative_axis_moment": ("H", -math.inf, 0.0),
+        "positive_axis_G_integral": ("G_minus_heaviside", 0.0, math.inf),
+        "positive_axis_moment": ("H", 0.0, math.inf),
+    }
+    return {name: line_integral(kind, a, b, tol)
+            for name, (kind, a, b) in parts.items()}
 
 
 class TestHalfLineMoments:
     def test_moment_identities(self):
-        rep = half_line_moments(tol=1e-9)
+        rep = {k: r.value for k, r in half_line_parts(5e-10).items()}
         # integral of G over (-inf, 0] equals integral of H there, and the
         # same on [0, inf) after removing the step.
         assert rep["negative_axis_G_integral"] == pytest.approx(
@@ -97,10 +114,10 @@ class TestHalfLineMoments:
         )
 
     def test_halves_sum_to_deficit(self):
-        rep = half_line_moments(tol=1e-9)
+        rep = {k: r.value for k, r in half_line_parts(5e-10).items()}
         total = rep["negative_axis_G_integral"] + rep["positive_axis_G_integral"]
         assert total == pytest.approx(1.0, abs=1e-8)
 
     def test_error_estimate_present(self):
-        rep = half_line_moments()
-        assert rep["err_estimate"] < 1e-6
+        parts = half_line_parts(5e-9)
+        assert sum(r.err_estimate for r in parts.values()) < 1e-6

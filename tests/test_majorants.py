@@ -285,6 +285,15 @@ class TestLineIntegral:
         with pytest.raises(ValueError):
             line_integral("h", 0.0, 1.0, 1e-8)
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+    @pytest.mark.parametrize("a,b", [
+        (-math.inf, math.inf), (100.0, 200.0), (-math.inf, -T),
+    ])
+    def test_tol_checked_on_every_interval(self, a, b, tol):
+        # Also where no quadrature runs and only the tails are summed.
+        with pytest.raises(ValueError, match="tol"):
+            line_integral("g", a, b, tol)
+
     @pytest.mark.parametrize("a,b", [
         (-math.inf, math.nan), (math.nan, 1.0), (2.0, 1.0), (1.0, 1.0),
     ])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from extremal import cli, specfun
+from extremal import specfun
 
 import test_specfun
 
@@ -24,18 +24,6 @@ def run_script(name, *args):
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120, check=False,
     )
-
-
-def test_majorant_table_is_the_eval_csv(tmp_path):
-    out = tmp_path / "table.csv"
-    proc = run_script("majorant_table.py", "--half-width", 2.5, "--points", 11,
-                      "-o", out)
-    assert proc.returncode == 0, proc.stderr
-    ref = tmp_path / "eval.csv"
-    assert cli.main(["eval", "--grid=-2.5:2.5:11", "-o", str(ref)]) == 0
-    assert out.read_bytes() == ref.read_bytes()
-    assert "deficit of M" in proc.stderr
-    assert "deficit of G vs Heaviside" in proc.stderr
 
 
 def test_constant_ladder(tmp_path):
