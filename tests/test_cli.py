@@ -129,16 +129,20 @@ class TestEval:
 
     @pytest.mark.parametrize("n", [100_001, 300_001])
     def test_csv_memory_is_bounded(self, n, tmp_path):
-        # CSV output holds the grid (8 bytes a point) and one row block, so
-        # beyond the grid the peak does not grow with N.
+        # CSV output holds one row block, never the grid: the peak stays
+        # under the formatter's (160 bytes a value, the bound its module
+        # states) plus 1 MB for the block's closed forms, which a whole
+        # grid (0.8 MB at N = 100,001) would break.
+        path = str(tmp_path / "t.csv")
+        assert main(["eval", "--grid=-50:50:3", "-o", path]) == 0  # lazy tables
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            assert main(["eval", f"--grid=-50:50:{n}", "-o", str(tmp_path / "t.csv")]) == 0
+            assert main(["eval", f"--grid=-50:50:{n}", "-o", path]) == 0
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak - 8 * n < 4_000_000
+        assert peak < 160 * len(cli._EVAL_COLUMNS) * _ROWS + 1_000_000
 
     def test_csv_memory_does_not_grow_with_n(self, tmp_path):
         # CSV output holds no grid: a hundred times the points leaves the

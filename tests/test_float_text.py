@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremal._float_text import _ROWS, csv_bytes
+from extremal._float_text import _ROWS, _tables, csv_bytes
 
 
 def assert_repr(values):
@@ -131,6 +131,38 @@ def test_memory_does_not_grow_with_the_blocks():
 
     (few, size), (many, _) = peak(8), peak(3 * 8)
     assert abs(many - few) <= size
+
+
+def test_digit_removal_tables_are_exact():
+    # The float64 shortcut that builds the count of digits that the
+    # rounding interval frees gives, for every exponent, the count from the
+    # exact 125-bit multiplier.
+    tables = _tables()
+    for e in range(2047):
+        mult = sum(int(tables.limbs[k][e]) << (32 * k) for k in range(4))
+        shift = int(tables.shift[e]) + 96
+        for width, table in ((4, tables.r0), (3, tables.r0_pow2)):
+            floor = max((width * mult >> shift) - 1, 1)
+            assert table[e] == len(str(floor)) - 1, (e, width)
+
+
+def test_block_memory_is_bounded():
+    # One full block of eval's six columns peaks within the 160 bytes a
+    # value that the module docstring states: the workspace, translate's
+    # result and the sparse branches' index arrays.
+    from extremal.majorants import closed_columns
+
+    x = np.linspace(-50.345678, 50.345678, _ROWS)
+    columns = [x, *closed_columns(x)]
+    list(csv_bytes([columns]))  # builds the lookup tables
+    tracemalloc.start()
+    try:
+        for _ in csv_bytes([columns]):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 160 * len(columns) * _ROWS
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=20))

@@ -33,12 +33,20 @@ FINGERPRINT = GOLDEN / "fingerprint.json"
 
 REPORTS = {
     **{f"verify_seed{s}.json": ["verify", "--seed", str(s)] for s in range(4)},
+    "verify_tol1e-10.json": ["verify", "--seed", "0", "--tol", "1e-10"],
     "eval_small.csv": ["eval", "--grid=-2.5:2.5:11"],
     "eval_offset.csv": ["eval", "--grid=-50.123456:50.123456:41"],
     "eval_largest.csv": ["eval", "--grid=0:1.7976931348623157e308:73"],
+    "eval_tiny.csv": ["eval", "--grid=-1e-300:1e-300:5"],
+    "eval_fraction.csv": ["eval", "--grid=-2e-4:2e-4:9"],
+    "eval_huge.csv": ["eval", "--grid=-1e17:1e17:5"],
     "eval.json": ["eval", "--grid=-300:300:21", "--format", "json"],
     "hilbert.json": ["hilbert", "--nodes", str(GOLDEN / "nodes.txt"),
                      "--coeffs", str(GOLDEN / "coeffs.txt")],
+    "hilbert_equal64.json": ["hilbert", "--nodes",
+                             str(GOLDEN / "nodes_equal64.txt")],
+    "hilbert_clustered64.json": ["hilbert", "--nodes",
+                                 str(GOLDEN / "nodes_clustered64.txt")],
     "search_constant.json": ["search", "--mode", "constant", "--n", "8",
                              "--trials", "3", "--seed", "0"],
     "search_remark.json": ["search", "--mode", "remark", "--n", "6",
