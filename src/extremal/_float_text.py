@@ -333,9 +333,10 @@ def _shortest(bits, w):
     np.equal(p, 0, out=vr_exact)
     vm_exact[:] = False
     idx = _nonzero(take(tables.low, flag))
-    accept = bits[idx] & 1 == 0
-    vm_exact[idx] = accept & mm(idx)
-    vp[idx] -= ~accept
+    if idx.size:
+        accept = bits[idx] & 1 == 0
+        vm_exact[idx] = accept & mm(idx)
+        vp[idx] -= ~accept
     idx = _nonzero(take(tables.five, flag))
     if idx.size:
         p5 = _POW5[tables.q[e[idx]]]
@@ -367,7 +368,8 @@ def _shortest(bits, w):
     np.equal(a0, a1, out=flag)
     flag &= cond
     idx = _nonzero(flag)
-    removed[idx] += _trailing_zeros(a0[idx])
+    if idx.size:
+        removed[idx] += _trailing_zeros(a0[idx])
     # With vm exact, the trailing zeros of its remaining digits go too.
     exact = _nonzero(vm_exact)
     if exact.size:
@@ -386,14 +388,16 @@ def _shortest(bits, w):
     rest <<= 1
     np.greater_equal(rest, p, out=flag)
     idx = _nonzero(vr_exact)
-    idx = idx[rest[idx] == p[idx]]
-    # An exact ...5000 tail rounds to even.
-    flag[idx[out[idx] % 2 == 0]] = False
+    if idx.size:
+        idx = idx[rest[idx] == p[idx]]
+        # An exact ...5000 tail rounds to even.
+        flag[idx[out[idx] % 2 == 0]] = False
     # Where out is vm's remaining digits it reads back only if that bound
     # is exact and admitted; else the next number up is taken.
     p *= out
     np.greater_equal(vm, p, out=cond)
-    cond[exact] &= ~(vm_exact[exact] & (bits[exact] & 1 == 0))
+    if exact.size:
+        cond[exact] &= ~(vm_exact[exact] & (bits[exact] & 1 == 0))
     cond |= flag
     out += cond
     decpt = take(tables.e10, dec.view(np.int64))
@@ -414,17 +418,19 @@ def _fields(w, count):
     np.left_shift(bits, 1, out=T[0])
     T[0] -= 1
     idx = _nonzero(np.greater_equal(T[0], _ODD, out=flag))
-    special = T[0][idx] + np.uint64(1)
-    inf, nan = idx[special == _INFBITS], idx[special > _INFBITS]
-    del special
-    bits[idx] &= np.uint64(1 << 63)
-    bits[idx] |= np.uint64(0x3FF0000000000000)
+    if idx.size:
+        special = T[0][idx] + np.uint64(1)
+        inf, nan = idx[special == _INFBITS], idx[special > _INFBITS]
+        del special
+        bits[idx] &= np.uint64(1 << 63)
+        bits[idx] |= np.uint64(0x3FF0000000000000)
     _shortest(bits, w)
-    out[idx] = 0
-    _ndigits(out, n, T[0], T[1])
+    _ndigits(out, n, T[0], T[1])  # 1 for a zero, as for the 1.0 it took
     decpt += n  # the value is 0.d1d2...dn * 10**(decpt - _DOFF)
-    decpt[inf] = _INF
-    decpt[nan] = _NAN
+    if idx.size:
+        out[idx] = 0
+        decpt[inf] = _INF
+        decpt[nan] = _NAN
 
     # The digits, left-aligned to 17 and padded with '0's: eight, eight
     # and one, as L in three words.
