@@ -129,7 +129,6 @@ def _tables():
                      q - pow5bits(i) + _POW5_BITS)
     row = np.where(pos, q, len(inv) + i)
     group = np.arange(10**4, dtype=np.uint64)
-    k = np.maximum(biased - 1023, 0)
     # vp - vm is (2 + mm) * multiplier / 2**shift, truncated twice, less 1
     # where vp is lowered: with f its floor, f - 1, f or f + 1, so that its
     # decimal digits are r0 + 1 or r0 + 2, r0 the digits of f - 1 less one.
@@ -149,7 +148,7 @@ def _tables():
         tz4=sum((group % 10**k == 0) for k in range(1, 5)).astype(np.intp),
         digits4=sum((group // 10**k % 10 + ord("0")) << np.uint64(8 * (3 - k))
                     for k in range(4)),
-        ndig=((k * 78913) >> 18) + 1,
+        ndig=((np.maximum(biased - 1023, 0) * 78913) >> 18) + 1,
         r0=r0[0], r0_pow2=r0[1],
         **_layout(),
     )
