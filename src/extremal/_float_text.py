@@ -212,9 +212,9 @@ def _layout():
 
 
 def _workspace(columns):
-    """One block's arrays: the values; ten uint64 rows that the steps take
-    in turn; flags; and the text, a 32-byte slot per value, whose memory
-    also serves as four more rows until the slots are filled."""
+    """One block's arrays: the values and nine uint64 rows that the steps
+    take in turn; flags; and the text, a 32-byte slot per value, whose
+    memory also serves as four more rows until the slots are filled."""
     size = _ROWS * columns
     u = np.empty((10, size), np.uint64)
     text = bytearray(32 * size)
