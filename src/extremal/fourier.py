@@ -20,13 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .majorants import (
-    TAIL_CUTOFF,
-    kernel_g,
-    psi_beurling_closed,
-    psi_closed,
-    tail_transform,
-)
+from .majorants import _KINDS, TAIL_CUTOFF, tail_transform
 from .quadrature import ToleranceNotMetError, check_tol
 from .specfun import _as_array, sinc
 
@@ -127,11 +121,8 @@ def psi_beurling_hat(t):
 _FT_PANEL = 0.25
 _FT_DEGREE = 10  # Chebyshev interpolation degree per panel
 
-_FT_KERNELS = {
-    "g": kernel_g,
-    "psi": psi_closed,
-    "psi_beurling": psi_beurling_closed,
-}
+# The kinds with a transform; H and G - x_+^0 are integrated, not transformed.
+_FT_KERNELS = {kind: _KINDS[kind].closed for kind in ("g", "psi", "psi_beurling")}
 
 
 def _chebyshev_setup():

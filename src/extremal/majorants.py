@@ -12,11 +12,11 @@ Core objects:
   ``P(x) + Re(exp(2 pi i x) A(x))`` with inverse-power series P and A
   (the kernels are ``(1 - cos 2 pi x) * envelope``, psi adds its
   integration by parts), so integrals and Fourier transforms of tails
-  reduce to :func:`extremal.quadrature.modulated_tail`,
-* :func:`line_integral`, the one routine that integrates g, H, psi or
-  ``G - x_+^0`` over any interval: adaptive quadrature on the window
-  ``[-TAIL_CUTOFF, TAIL_CUTOFF]`` plus closed-form tails beyond it, with a
-  checked error estimate.
+  reduce to E_n channels summed by :func:`tail_transform`,
+* :func:`line_integral`, the one routine that integrates g, H, psi,
+  ``G - x_+^0`` or ``B - sgn`` over any interval: adaptive quadrature on
+  the window ``[-TAIL_CUTOFF, TAIL_CUTOFF]`` plus closed-form tails beyond
+  it, with a checked error estimate.
 
 Conventions: ``sgn(0) = 0`` and the upper Heaviside ``x_+^0(0) = 1``.
 
@@ -28,6 +28,7 @@ psi and phi used for grids and Fourier node tables; the tests check
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,9 +37,8 @@ from .quadrature import (
     ToleranceNotMetError,
     check_tol,
     integrate_adaptive,
-    modulated_tail,
 )
-from .specfun import _as_array, si_cin, sinc, trigamma
+from .specfun import _as_array, expint_en, si_cin, sinc, trigamma
 
 __all__ = [
     "eval_kernel",
@@ -54,7 +54,6 @@ __all__ = [
     "g_minus_heaviside_closed",
     "tail_transform",
     "line_integral",
-    "TAIL_KINDS",
     "TAIL_CUTOFF",
     "ToleranceNotMetError",
 ]
@@ -252,8 +251,8 @@ def psi_beurling_closed(x):
 # Tail series.  For x >= X (X well above 1) each kind is
 # [P(x) + Re(e^{2 pi i x} A(x))] / divisor, and likewise at -x for the left
 # tail, with P and A series in the basis x^{-(j+2)}, exactly as consumed by
-# quadrature.modulated_tail.  The kernels are (1 - cos 2 pi x) * envelope,
-# that is P = envelope and A = -envelope.
+# tail_transform.  The kernels are (1 - cos 2 pi x) * envelope, that is
+# P = envelope and A = -envelope.
 
 _J_POLY = 14
 
@@ -274,6 +273,22 @@ _R_RIGHT = (0.5, -1.0 / 6.0, 0.0, 1.0 / 30.0, 0.0, -1.0 / 42.0,
 _S_LEFT = (0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0,
            0.0, -1.0 / 30.0, 0.0, 5.0 / 66.0)
 
+
+def _channels(P, A):
+    """The series (P, A) of one side, packed for :func:`tail_transform`.
+
+    Since Re(e^{2 pi i x} A) = (e^{2 pi i x} A + e^{-2 pi i x} conj(A)) / 2,
+    a tail is the channel of P at t plus half-weight channels of A at t - 1
+    and of conj(A) at t + 1: the columns of the returned coefficient
+    matrix.
+    """
+    coeffs = np.zeros((max(len(P), len(A)), 3), dtype=complex)
+    coeffs[: len(P), 0] = P
+    coeffs[: len(A), 1] = 0.5 * np.asarray(A)
+    coeffs[:, 2] = np.conj(coeffs[:, 1])
+    return coeffs
+
+
 # psi on x >= X is pi^-2 integral_x^inf (1 - cos 2 pi u) rho(u) du with
 # rho = _RHO_RIGHT (on the left, psi(-x) with rho = _RHO_LEFT).  The
 # term-by-term integral of rho gives P_j = rho_{j+1} / (j+2).  Integrating
@@ -291,12 +306,12 @@ def _psi_series(rho):
         for i in range(j, len(rho)):
             A[i] += term
             term *= (i + 2) / (2j * math.pi)
-    return P, A
+    return _channels(P, A)
 
 
 def _cosine(envelope):
     P = np.asarray(envelope)
-    return P, -P
+    return _channels(P, -P)
 
 
 # The one window [-X, X] of every quadrature, Filon sum and tail split.
@@ -333,19 +348,33 @@ def _psi_trunc(X):
 _PSI_RIGHT = _psi_series(_RHO_RIGHT)
 _PSI_LEFT = _psi_series(_RHO_LEFT)
 
-# kind: ((P, A) right, (P, A) left, divisor, truncation bound at X); g is
-# -(1 - cos 2 pi x) rho / (2 pi^2) on the right and +(...) on the left.
-_TAILS = {
-    "g": (_cosine(-np.array(_RHO_RIGHT)), _cosine(_RHO_LEFT), 2.0 * np.pi**2,
-          _poly_trunc),
-    "H": (_cosine(_Q_RIGHT), _cosine(_Q_LEFT), 2.0 * np.pi**2, _poly_trunc),
-    "psi": (_PSI_RIGHT, _PSI_LEFT, np.pi**2, _psi_trunc),
-    "G_minus_heaviside": (_PSI_RIGHT, _PSI_LEFT, 2.0 * np.pi**2, _psi_trunc),
-    "psi_beurling": (_cosine(_R_RIGHT), _cosine(_S_LEFT), np.pi**2,
-                     _bernoulli_trunc),
+# Every kind that line_integral and tail_transform take (numeric_ft takes
+# g, psi and psi_beurling), in one table: its closed form, its right and
+# left tail channels, the divisor of its tail series and their truncation
+# bound at X.  g is -(1 - cos 2 pi x) rho / (2 pi^2) on the right and
+# +(...) on the left.
+_Kind = namedtuple("_Kind", "closed right left divisor trunc")
+_KINDS = {
+    "g": _Kind(kernel_g, _cosine(-np.array(_RHO_RIGHT)), _cosine(_RHO_LEFT),
+               2.0 * np.pi**2, _poly_trunc),
+    "H": _Kind(kernel_H, _cosine(_Q_RIGHT), _cosine(_Q_LEFT), 2.0 * np.pi**2,
+               _poly_trunc),
+    "psi": _Kind(psi_closed, _PSI_RIGHT, _PSI_LEFT, np.pi**2, _psi_trunc),
+    "G_minus_heaviside": _Kind(g_minus_heaviside_closed, _PSI_RIGHT,
+                               _PSI_LEFT, 2.0 * np.pi**2, _psi_trunc),
+    "psi_beurling": _Kind(psi_beurling_closed, _cosine(_R_RIGHT),
+                          _cosine(_S_LEFT), np.pi**2, _bernoulli_trunc),
 }
 
-TAIL_KINDS = tuple(_TAILS)
+
+def _kind(kind):
+    """The table entry of ``kind``, or ValueError naming the known kinds."""
+    try:
+        return _KINDS[kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown kind {kind!r}; expected one of {tuple(_KINDS)}"
+        ) from None
 
 
 def _series_scale(coeffs, X):
@@ -357,8 +386,10 @@ def tail_transform(kind, X, t, side):
 
     ``side`` is "right" for [X, inf) or "left" for (-inf, -X]; ``t = 0``
     gives the plain tail integral.  One route for every kind and frequency:
-    :func:`extremal.quadrature.modulated_tail` on the kind's series, the
-    left tail being the mirrored series at -t.  Returns
+    each power x^{-(j+2)} of the kind's series contributes
+    c_j X^{-(j+1)} E_{j+2}(2 pi i tau X) at the channel frequencies tau =
+    t, t - 1 and t + 1 (see :func:`_channels`), all orders in one
+    ``expint_en`` call; the left tail is the mirrored series at -t.  Returns
     ``(value, err_bound)`` with the bound covering series truncation (for
     psi, the by-parts remainder as well) and the E_n evaluation accuracy.
     Requires ``X >= TAIL_CUTOFF`` so the inverse-power envelopes have
@@ -366,17 +397,24 @@ def tail_transform(kind, X, t, side):
     An array ``t`` gives arrays of its shape for both; a scalar ``t`` gives
     a Python ``complex`` and ``float``.
     """
-    if kind not in TAIL_KINDS:
-        raise ValueError(f"unknown tail kind {kind!r}")
+    _, right, left, div, trunc = _kind(kind)
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     if not X >= TAIL_CUTOFF:
         raise ValueError(f"tail cutoff must be >= {TAIL_CUTOFF}")
     X = float(X)
     t = np.asarray(t, dtype=float)
-    right, left, div, trunc = _TAILS[kind]
-    (P, A), t = (right, t) if side == "right" else (left, -t)
-    val = modulated_tail(P, A, X, t) / div
+    coeffs, t = (right, t) if side == "right" else (left, -t)
+    tau = np.stack([t, t - 1.0, t + 1.0], axis=-1)
+    orders = np.arange(2, len(coeffs) + 2).reshape((-1,) + (1,) * tau.ndim)
+    total = np.zeros(tau.shape, dtype=complex)
+    Xp = 1.0 / X
+    for c, e in zip(coeffs, expint_en(orders, 2j * math.pi * tau * X)):
+        total = total + (c * Xp) * e
+        Xp /= X
+    val = total[..., 0] + total[..., 1] + total[..., 2]
+    val = (complex(val) if t.ndim == 0 else val) / div
+    P, A = coeffs[:, 0], 2.0 * coeffs[:, 1]
     err = (trunc(X) + 2e-13 * (_series_scale(P, X) + _series_scale(A, X))) / div
     return val, (err if t.ndim == 0 else np.full(t.shape, err))
 
@@ -385,21 +423,8 @@ def tail_transform(kind, X, t, side):
 # Line integrals: the one place that splits an integral into the adaptive
 # window and the closed-form tails.
 
-_LINE_INTEGRANDS = {
-    "g": kernel_g,
-    "H": kernel_H,
-    "psi": psi_closed,
-    "G_minus_heaviside": g_minus_heaviside_closed,
-}
-
-# Starting panel width of the adaptive scheme.  At the default 0.5 the
-# initial mesh of [-64, 64] already meets every admissible tol, so the cost
-# would not follow tol; width 4 lets the refinement do that.
-_PANEL_WIDTH = 4.0
-
-
 def line_integral(kind, a, b, tol, max_evals=10_000_000):
-    """integral_a^b of g, H, psi or G - x_+^0, for -inf <= a < b <= inf.
+    """integral_a^b of g, H, psi, G - x_+^0 or B - sgn, -inf <= a < b <= inf.
 
     The part of [a, b] inside [-T, T], T = TAIL_CUTOFF, is integrated
     adaptively to ``tol / 2``; each part outside is the closed-form
@@ -411,11 +436,7 @@ def line_integral(kind, a, b, tol, max_evals=10_000_000):
     ``ValueError`` for a ``tol`` that is NaN or below the least subnormal.
     """
     tol = check_tol(tol, math.ulp(0.0))
-    if kind not in _LINE_INTEGRANDS:
-        raise ValueError(
-            f"unknown kernel kind {kind!r}; "
-            f"expected one of {tuple(_LINE_INTEGRANDS)}"
-        )
+    closed = _kind(kind).closed
     if not a < b:
         raise ValueError(f"need a < b, got a = {a!r}, b = {b!r}")
     T = TAIL_CUTOFF
@@ -424,10 +445,7 @@ def line_integral(kind, a, b, tol, max_evals=10_000_000):
     quad = QuadResult(0.0, 0.0, 0)
     if lo < hi:
         try:
-            quad = integrate_adaptive(
-                _LINE_INTEGRANDS[kind], lo, hi, 0.5 * tol, max_evals,
-                initial_panel_width=_PANEL_WIDTH,
-            )
+            quad = integrate_adaptive(closed, lo, hi, 0.5 * tol, max_evals)
         except ToleranceNotMetError as exc:
             quad = exhausted = exc
     value, est = quad.value, quad.err_estimate

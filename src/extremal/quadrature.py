@@ -1,22 +1,8 @@
-"""Adaptive Gauss-Kronrod quadrature and analytic tail channels.
+"""Adaptive Gauss-Kronrod quadrature.
 
 The central tool is :func:`integrate_adaptive`, a deterministic bisection
 scheme built on the 7-point Gauss / 15-point Kronrod pair, vectorized so
 that every pending panel is evaluated in one call to the integrand.
-
-For integrals over infinite ranges the package never chases oscillatory
-tails numerically.  Instead, tails of the form
-
-    integral_T^inf  phi(x) * exp(-2 pi i tau x) dx,
-    phi(x) = sum_j c_j x^{-(j+2)}    (inverse-power envelope),
-
-are evaluated in closed form by :func:`tail_channel` via the generalized
-exponential integral E_n at purely imaginary argument
-(:func:`extremal.specfun.expint_en`).  :func:`modulated_tail` adds the
-phase exp(2 pi i x) of the kernels, P(x) + Re(exp(2 pi i x) A(x)) with
-two such series.  Kernel-specific envelope series live next to the
-kernels in :mod:`extremal.majorants`; this module only knows the generic
-machinery.
 
 Every certified routine of the package (this quadrature, the line
 integrals built on it, the Filon transform, the sharp-constant solve)
@@ -32,15 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import expint_en
-
 __all__ = [
     "QuadResult",
     "ToleranceNotMetError",
     "check_tol",
     "integrate_adaptive",
-    "tail_channel",
-    "modulated_tail",
 ]
 
 # ---------------------------------------------------------------------------
@@ -88,6 +70,11 @@ _W_G[1:-1:2] = np.concatenate([_WG[:-1], [_WG[-1]], _WG[-2::-1]])
 
 # The least positive double: a tol of at least this is a tol > 0.
 _LEAST_POSITIVE = math.ulp(0.0)
+
+# Starting panel width.  At 0.5 the initial mesh of the line integrals'
+# window [-64, 64] would already meet every admissible tol, so the cost
+# would not follow tol; at 4 the refinement sets it.
+_PANEL_WIDTH = 4.0
 
 
 @dataclass(frozen=True)
@@ -139,18 +126,12 @@ def _kronrod(f, left, right):
     return k15, np.abs(k15 - half * (fx @ _W_G))
 
 
-def integrate_adaptive(
-    f,
-    a,
-    b,
-    tol=1e-10,
-    max_evals=10_000_000,
-    initial_panel_width=0.5,
-):
+def integrate_adaptive(f, a, b, tol=1e-10, max_evals=10_000_000):
     """Adaptive G7/K15 integration of a vectorized ``f`` over [a, b].
 
-    Panels whose Kronrod-Gauss discrepancy exceeds their proportional
-    share ``tol * width / (b - a)`` are bisected; all pending panels are
+    The initial mesh has panels of width at most 4.  Panels whose
+    Kronrod-Gauss discrepancy exceeds their proportional share
+    ``tol * width / (b - a)`` are bisected; all pending panels are
     evaluated together, so ``f`` must accept an ndarray.  The result is
     deterministic (fixed node order, correctly rounded final summation).
 
@@ -165,14 +146,11 @@ def integrate_adaptive(
     if b == a:
         return QuadResult(0.0, 0.0, 0)
     if b < a:
-        res = integrate_adaptive(
-            f, b, a, tol=tol, max_evals=max_evals,
-            initial_panel_width=initial_panel_width,
-        )
+        res = integrate_adaptive(f, b, a, tol=tol, max_evals=max_evals)
         return QuadResult(-res.value, res.err_estimate, res.evaluations)
 
     span = b - a
-    n0 = max(1, int(math.ceil(span / initial_panel_width)))
+    n0 = max(1, int(math.ceil(span / _PANEL_WIDTH)))
     edges = np.linspace(a, b, n0 + 1)
     left = edges[:-1]
     right = edges[1:]
@@ -225,49 +203,3 @@ def integrate_adaptive(
     err_total += 5e-16 * math.fsum(np.abs(k15))
     return QuadResult(value, err_total, evaluations)
 
-
-# ---------------------------------------------------------------------------
-# Tail channels: inverse-power envelopes against a phase, through E_n at
-# imaginary argument.
-
-def tail_channel(coeffs, T, tau):
-    """integral_T^inf (sum_j c_j x^{-(j+2)}) exp(-2 pi i tau x) dx.
-
-    Exact term-by-term reduction to E_n:  each power x^{-(j+2)} contributes
-    c_j T^{-(j+1)} E_{j+2}(2 pi i tau T).  ``coeffs`` is the envelope series
-    in the x^{-(j+2)} basis (each c_j a number, or an array broadcasting
-    against ``tau``), ``T > 0`` the cutoff, ``tau`` the frequency
-    (``tau = 0`` gives the plain tail integral); an array ``tau`` gives an
-    array of the same shape.  All orders are evaluated in one ``expint_en``
-    call.
-    """
-    if T <= 0.0:
-        raise ValueError("tail_channel requires T > 0")
-    tau = np.asarray(tau, dtype=float)
-    orders = np.arange(2, len(coeffs) + 2).reshape((-1,) + (1,) * tau.ndim)
-    total = np.zeros(tau.shape, dtype=complex)
-    Tp = 1.0 / T
-    for c, e in zip(coeffs, expint_en(orders, 2j * math.pi * tau * T)):
-        total = total + (c * Tp) * e
-        Tp /= T
-    return complex(total) if tau.ndim == 0 else total
-
-
-def modulated_tail(P, A, T, t):
-    """integral_T^inf [P(x) + Re(exp(2 pi i x) A(x))] exp(-2 pi i t x) dx.
-
-    ``P`` (real) and ``A`` (complex) are series in the x^{-(j+2)} basis.
-    Since Re(e^{2 pi i x} A) = (e^{2 pi i x} A + e^{-2 pi i x} conj(A)) / 2,
-    this is the channel of P at t plus half-weight channels of A at t - 1
-    and of conj(A) at t + 1, all three in one ``tail_channel`` call.  A
-    kernel (1 - cos 2 pi x) * envelope is the case P = envelope,
-    A = -envelope.  An array ``t`` gives an array of the same shape.
-    """
-    t = np.asarray(t, dtype=float)
-    coeffs = np.zeros((max(len(P), len(A)), 3), dtype=complex)
-    coeffs[: len(P), 0] = P
-    coeffs[: len(A), 1] = 0.5 * np.asarray(A)
-    coeffs[:, 2] = np.conj(coeffs[:, 1])
-    j = tail_channel(coeffs, T, np.stack([t, t - 1.0, t + 1.0], axis=-1))
-    out = j[..., 0] + j[..., 1] + j[..., 2]
-    return complex(out) if t.ndim == 0 else out

@@ -146,23 +146,36 @@ def test_digit_removal_tables_are_exact():
             assert table[e] == len(str(floor)) - 1, (e, width)
 
 
-def test_block_memory_is_bounded():
-    # One full block of eval's six columns peaks within the 160 bytes a
-    # value that the module docstring states: the workspace, translate's
-    # result and the sparse branches' index arrays.
+def eval_blocks():
     from extremal.majorants import closed_columns
 
     x = np.linspace(-50.345678, 50.345678, _ROWS)
-    columns = [x, *closed_columns(x)]
-    list(csv_bytes([columns]))  # builds the lookup tables
-    tracemalloc.start()
-    try:
-        for _ in csv_bytes([columns]):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 160 * len(columns) * _ROWS
+    return [[x, *closed_columns(x)]]
+
+
+def sparse_blocks():
+    # Every value takes the sparse cases: integers, halves and zeros.
+    k = np.arange(_ROWS * 6, dtype=np.float64).reshape(6, _ROWS) - 3 * _ROWS
+    return [list(k), list(k + 0.5), list(np.zeros_like(k))]
+
+
+@pytest.mark.parametrize("blocks, bound", [
+    (eval_blocks, 160), (sparse_blocks, 225),
+], ids=["eval", "sparse"])
+def test_block_memory_is_bounded(blocks, bound):
+    # One full block of six columns peaks within the bytes a value that
+    # the module docstring states: the workspace, translate's result and
+    # the sparse branches' index arrays.
+    for columns in blocks():
+        list(csv_bytes([columns]))  # builds the lookup tables
+        tracemalloc.start()
+        try:
+            for _ in csv_bytes([columns]):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * len(columns) * _ROWS
 
 
 @given(st.lists(st.floats(), min_size=1, max_size=20))

@@ -13,7 +13,8 @@ the fingerprint difference so a reader can tell a build effect from a
 regression.  There is no skip.
 
 Regenerate the goldens only on purpose, in a change that alters a report,
-and name each changed file in CHANGES.md:
+and name each changed file in CHANGES.md.  The run rewrites only the files
+whose bytes changed, the fingerprint included, and prints their names:
 
     PYTHONPATH=src python3 tests/test_golden.py
 """
@@ -99,6 +100,10 @@ def test_reports_match_goldens(capsys):
 
 
 if __name__ == "__main__":
-    for name, argv in REPORTS.items():
-        (GOLDEN / name).write_bytes(render(argv))
-    FINGERPRINT.write_text(json.dumps(fingerprint(), indent=2) + "\n")
+    fresh = {name: render(argv) for name, argv in REPORTS.items()}
+    fresh[FINGERPRINT.name] = (json.dumps(fingerprint(), indent=2) + "\n").encode()
+    for name, data in fresh.items():
+        path = GOLDEN / name
+        if not path.exists() or path.read_bytes() != data:
+            path.write_bytes(data)
+            print(name)

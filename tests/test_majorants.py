@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from extremal import majorants
+from extremal.fourier import numeric_ft
 from extremal.majorants import (
     G_closed,
     M_closed,
@@ -25,6 +26,7 @@ from extremal.majorants import (
     line_integral,
     psi_beurling_closed,
     psi_closed,
+    tail_transform,
 )
 
 # mpmath closed form at 40 digits.
@@ -282,8 +284,31 @@ class TestLineIntegral:
         assert line_integral("psi", -math.inf, -T, 1e-10).evaluations == 0
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
+        # One check for line_integral and tail_transform, naming the kinds.
+        with pytest.raises(ValueError, match="unknown kind 'h'"):
             line_integral("h", 0.0, 1.0, 1e-8)
+        with pytest.raises(ValueError, match="unknown kind 'h'"):
+            tail_transform("h", T, 0.0, "right")
+
+    def test_every_kind_resolves_in_one_table(self):
+        # The integral over the line of each kind; h has no tail series.
+        totals = {"g": 1.0, "H": 1.0, "psi": 2.0, "G_minus_heaviside": 1.0,
+                  "psi_beurling": 1.0}
+        assert list(majorants._KINDS) == list(totals)
+        for kind, total in totals.items():
+            res = line_integral(kind, -math.inf, math.inf, 1e-10)
+            assert res.value == pytest.approx(total, abs=1e-10), kind
+            for side in ("right", "left"):
+                value, err = tail_transform(kind, T, 0.0, side)
+                assert isinstance(value, complex) and 0.0 < err < 1e-15
+        transformed = []
+        for kind in totals:
+            try:
+                numeric_ft(kind, 0.5)
+            except ValueError:
+                continue
+            transformed.append(kind)
+        assert transformed == ["g", "psi", "psi_beurling"]
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
     @pytest.mark.parametrize("a,b", [
