@@ -221,6 +221,34 @@ class TestTailChannel:
         expected = 2.0 / T - 1.0 / (3.0 * T**3)
         assert channel(coeffs, T, 0.0) == pytest.approx(expected, rel=1e-14)
 
+    def test_modulated_tail_real_for_real_kernels(self):
+        # (1 - cos 2 pi x) modulation at t = 0: P = -A real gives a real value.
+        for kind in ("g", "H", "psi_beurling"):
+            for side in ("right", "left"):
+                coeffs = getattr(majorants._KINDS[kind], side)
+                assert np.array_equal(coeffs[:, 1], -0.5 * coeffs[:, 0])
+                val, _ = tail_transform(kind, TAIL_CUTOFF, 0.0, side)
+                assert abs(val.imag) < 1e-15, (kind, side)
+
+    def test_modulated_tail_against_quadrature(self):
+        # The tails of g and H against (1 - cos 2 pi x) times the envelope
+        # series of the table, not the kernels' closed forms.
+        T, tau = TAIL_CUTOFF, 0.42
+        for kind in ("g", "H"):
+            entry = majorants._KINDS[kind]
+            P = entry.right[:, 0].real
+
+            def env(x):
+                series = sum(c * x ** -(j + 2) for j, c in enumerate(P))
+                return (1.0 - np.cos(2.0 * np.pi * x)) * series / entry.divisor
+
+            # Difference of two truncations isolates [T, 4T].
+            upper, _ = tail_transform(kind, 4.0 * T, tau, "right")
+            lower, _ = tail_transform(kind, T, tau, "right")
+            re = integrate_adaptive(lambda x: env(x) * np.cos(2 * np.pi * tau * x), T, 4 * T, 1e-13).value
+            im = integrate_adaptive(lambda x: -env(x) * np.sin(2 * np.pi * tau * x), T, 4 * T, 1e-13).value
+            assert abs((lower - upper) - complex(re, im)) < 5e-13, kind
+
     @pytest.mark.parametrize("t", [0.0, 0.42, -1.0, 1.3])
     def test_complex_phase_series_against_quadrature(self, t):
         # Every kind's tail is [P + Re(e^{2 pi i x} A)] / divisor: channels
