@@ -20,13 +20,11 @@ from .majorants import (
     G_closed,
     M_closed,
     beurling_b,
-    eval_kernel,
     line_integral,
     psi_beurling_closed,
     psi_closed,
 )
 from .fourier import (
-    band_limit_check,
     g_hat,
     numeric_ft,
     psi_beurling_hat,
@@ -64,11 +62,9 @@ __all__ = [
     "G_closed",
     "M_closed",
     "beurling_b",
-    "eval_kernel",
     "line_integral",
     "psi_beurling_closed",
     "psi_closed",
-    "band_limit_check",
     "g_hat",
     "numeric_ft",
     "psi_beurling_hat",

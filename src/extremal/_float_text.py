@@ -29,13 +29,12 @@ Every block of rows of a call is computed in one workspace through
 ``out=`` and in-place operations: arrays freed after each block would
 have the C allocator hand their pages back to the operating system and
 the next block fault them in again.  The workspace takes 116 bytes a
-value (205 when the text was shifted into place word by word), 0.71 MB
-for the six columns of eval's 1,024-row blocks; with the 32 bytes a value
-of ``translate``'s result and the index arrays of the sparse cases, a
-block of eval's columns peaks below 160 bytes a value (blocks whose values
-all take the sparse cases, such as integers or zeros, up to 225).  A value
-of eval's columns costs about 190 ns, against 300 with the word shifts
-(2-core x86-64, numpy 2.4).
+value, 0.71 MB for the six columns of eval's 1,024-row blocks; with the
+32 bytes a value of ``translate``'s result and the index arrays of the
+sparse cases, a block of eval's columns peaks below 160 bytes a value
+(blocks whose values all take the sparse cases, such as integers or
+zeros, up to 225).  A value of eval's columns costs about 190 ns (2-core
+x86-64, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -51,8 +50,7 @@ __all__ = ["csv_bytes"]
 # Rows formatted at a time, and the rows of each block eval evaluates.
 # At 2048 the formatter ran about a tenth faster, but the peak RSS of
 # `extremal eval` on 100,001 points rose by 1.6 MB (the workspace and the
-# closed forms' block temporaries double); at 1024 it is 0.3 MB below the
-# former 205-byte workspace's.
+# closed forms' block temporaries double).
 _ROWS = 1024
 
 _MANT_BITS = 52

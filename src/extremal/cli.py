@@ -36,7 +36,7 @@ import numpy as np
 
 from . import hilbert as hb
 from ._draws import Draws
-from .fourier import band_limit_check, g_hat, numeric_ft, psi_hat
+from .fourier import g_hat, numeric_ft, psi_beurling_hat, psi_hat
 from .majorants import (
     closed_columns,
     kernel_g,
@@ -52,15 +52,11 @@ _EVAL_COLUMNS = ("x", "G", "M", "B", "psi", "phi")
 
 
 @contextlib.contextmanager
-def _output(path, binary=False):
-    """The report stream: stdout, or the file at ``path``; with ``binary``,
-    a stream that takes bytes."""
+def _output(path):
+    """The report's byte stream: the file at ``path``, or stdout's buffer."""
     if path is not None:
-        with open(path, "wb" if binary else "w",
-                  encoding=None if binary else "utf-8") as fh:
+        with open(path, "wb") as fh:
             yield fh
-    elif not binary:
-        yield sys.stdout
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # text already written goes first
         yield sys.stdout.buffer
@@ -71,7 +67,7 @@ def _output(path, binary=False):
 
 def _emit_json(report, path):
     with _output(path) as fh:
-        fh.write(json.dumps(report, indent=2) + "\n")
+        fh.write((json.dumps(report, indent=2) + "\n").encode("ascii"))
 
 
 def _seed(text):
@@ -85,6 +81,19 @@ def _seed(text):
             f"seed must be a non-negative integer, got {text!r}"
         )
     return seed
+
+
+def _constant(text):
+    """``type=`` of ``hilbert --constant``: a positive finite real."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"constant must be a positive finite real, got {text!r}"
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +160,7 @@ def cmd_eval(args):
 
         # Each row block of the formatter is made, evaluated, formatted
         # and written on its own, in the formatter's one workspace.
-        with _output(args.output, binary=True) as fh:
+        with _output(args.output) as fh:
             fh.write((",".join(_EVAL_COLUMNS) + "\n").encode("ascii"))
             for text in csv_bytes(tables(_ROWS)):
                 fh.write(text)
@@ -182,6 +191,11 @@ def _check(name, residual, limit):
         "limit": limit,
         "passed": bool(residual <= limit),
     }
+
+
+def _transform_check(name, kind, closed, ts, limit):
+    """A closed-form transform against the independent Filon engine."""
+    return _check(name, np.max(np.abs(closed(ts) - numeric_ft(kind, ts))), limit)
 
 
 def cmd_verify(args):
@@ -217,29 +231,20 @@ def cmd_verify(args):
             _check(f"moment_identity_{axis}_axis", G_part - moment, 1e-8)
         )
 
-    band_grid = [1.25, 2.0, 3.5, 5.0, 10.0, -1.25, -2.0]
-    checks.append(
-        _check("band_residual_psi", band_limit_check("psi", band_grid), 1e-5)
-    )
-    checks.append(
-        _check(
-            "band_residual_beurling",
-            band_limit_check("psi_beurling", band_grid),
-            1e-5,
-        )
-    )
+    # The band identity: on |t| >= 1 both deficit transforms are -1/(pi i t).
+    band = [1.25, 2.0, 3.5, 5.0, 10.0, -1.25, -2.0]
+    checks.append(_transform_check("band_residual_psi", "psi", psi_hat, band, 1e-5))
+    checks.append(_transform_check("band_residual_beurling", "psi_beurling",
+                                   psi_beurling_hat, band, 1e-5))
 
     u = rng.uniform(-50.0, 50.0, size=500)
     fact = np.max(np.abs(kernel_g(u) + u * kernel_h(u) ** 2))
     checks.append(_check("kernel_factorization", fact, 1e-12))
 
     ts = rng.uniform(-1.5, 1.5, size=20)
-    ghat_res = np.max(np.abs(g_hat(ts) - numeric_ft("g", ts)))
-    checks.append(_check("g_hat_vs_numeric", ghat_res, 1e-7))
-
-    ts2 = rng.uniform(1e-3, 3.0, size=10)
-    psihat_res = np.max(np.abs(psi_hat(ts2) - numeric_ft("psi", ts2)))
-    checks.append(_check("psi_hat_vs_numeric", psihat_res, 1e-6))
+    checks.append(_transform_check("g_hat_vs_numeric", "g", g_hat, ts, 1e-7))
+    ts = rng.uniform(1e-3, 3.0, size=10)
+    checks.append(_transform_check("psi_hat_vs_numeric", "psi", psi_hat, ts, 1e-6))
 
     tele_res = 0.0
     tele_min = np.inf
@@ -407,7 +412,7 @@ def _build_parser():
     )
     p_hilbert.add_argument("--nodes", required=True, metavar="FILE")
     p_hilbert.add_argument("--coeffs", default=None, metavar="FILE")
-    p_hilbert.add_argument("--constant", type=float, default=None)
+    p_hilbert.add_argument("--constant", type=_constant, default=None)
     p_hilbert.add_argument("--tol", type=float, default=1e-10)
     p_hilbert.add_argument("-o", "--output", default=None)
     p_hilbert.set_defaults(run=cmd_hilbert)

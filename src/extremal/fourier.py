@@ -29,7 +29,6 @@ __all__ = [
     "psi_hat",
     "psi_beurling_hat",
     "numeric_ft",
-    "band_limit_check",
 ]
 
 _TWO_PI = 2.0 * np.pi
@@ -274,15 +273,3 @@ def numeric_ft(function_kind, t, tol=1e-7):
         )
     return value
 
-
-def band_limit_check(function_kind, t_samples):
-    """Max residual of the band identity f_hat(t) = -1/(pi i t), |t| >= 1."""
-    if function_kind not in ("psi", "psi_beurling"):
-        raise ValueError("band_limit_check expects 'psi' or 'psi_beurling'")
-    samples = np.atleast_1d(np.asarray(t_samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("t_samples must be nonempty")
-    if np.any(np.abs(samples) < 1.0):
-        raise ValueError("band samples must satisfy |t| >= 1")
-    residual = numeric_ft(function_kind, samples) + 1.0 / (1j * np.pi * samples)
-    return float(np.max(np.abs(residual)))

@@ -405,30 +405,22 @@ def telescoping_identity(nodes, a):
 _NODES_LOW, _NODES_HIGH, _NODES_MIN_GAP = 0.0, 10.0, 0.05
 
 
-def _random_nodes(rng, n, low=_NODES_LOW, high=_NODES_HIGH,
-                  min_gap=_NODES_MIN_GAP):
-    """n sorted uniform draws on [low, high] conditioned on every gap being
-    at least ``min_gap``.  Removing the forced gaps maps that set one-to-one
-    and volume-preserving onto the sorted draws from a shorter interval, so
-    the sample is exact, with no rejection loop.  ``rng`` is a
-    :class:`extremal._draws.Draws` or a numpy generator."""
-    return _gapped_nodes(rng.uniform(0.0, 1.0, size=n), low, high, min_gap)
-
-
 def _gapped_nodes(u, low, high, min_gap):
-    """The nodes of :func:`_random_nodes` from uniforms on [0, 1) along the
-    last axis."""
+    """n sorted uniform draws on [low, high] with every gap at least
+    ``min_gap``, from uniforms ``u`` on [0, 1) along the last axis.  Less
+    the forced gaps they are sorted draws from a shorter interval (by a
+    volume-preserving bijection), so the sample is exact, with no rejection."""
     n = u.shape[-1]
     free = np.sort((high - low - (n - 1) * min_gap) * u, axis=-1)
     return low + free + min_gap * np.arange(n)
 
 
 def _random_systems(draws, count, n):
-    """``count`` node systems of :func:`_random_nodes` at its default
-    interval and gap, with complex Gaussian coefficients, as arrays of
-    shape (count, n), from one draw of 3n uniforms per system: n place the
-    nodes and 2n give the coefficients by Box-Muller (radius and angle).  A
-    system depends on its position in the stream alone, not on ``count``."""
+    """``count`` node systems of :func:`_gapped_nodes` on [0, 10] with gap
+    0.05 and complex Gaussian coefficients, as arrays of shape (count, n),
+    from one draw of 3n uniforms per system: n place the nodes and 2n give
+    the coefficients by Box-Muller (radius and angle).  A system depends on
+    its position in the stream alone, not on ``count``."""
     u = draws.random((count, 3 * n))
     z = box_muller(u[:, n:])
     lam = _gapped_nodes(u[:, :n], _NODES_LOW, _NODES_HIGH, _NODES_MIN_GAP)
@@ -526,7 +518,7 @@ def constant_search(n_nodes, trials, seed):
     sigma = 0.25
     for k in range(trials):
         if k % 2 == 0:
-            lam = _random_nodes(rng, n_nodes, min_gap=1e-4)
+            lam = _gapped_nodes(rng.random(n_nodes), _NODES_LOW, _NODES_HIGH, 1e-4)
         else:
             span = best_lam[-1] - best_lam[0]
             for _ in range(100):
@@ -536,7 +528,7 @@ def constant_search(n_nodes, trials, seed):
                 if np.min(np.diff(lam)) > 1e-8 * (lam[-1] - lam[0]):
                     break
             else:
-                lam = _random_nodes(rng, n_nodes, min_gap=1e-4)
+                lam = _gapped_nodes(rng.random(n_nodes), _NODES_LOW, _NODES_HIGH, 1e-4)
             sigma *= 0.95
         val = evaluate(lam)
         history.append(val)

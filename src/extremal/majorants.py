@@ -41,7 +41,6 @@ from .quadrature import (
 from .specfun import _as_array, expint_en, si_cin, sinc, trigamma
 
 __all__ = [
-    "eval_kernel",
     "kernel_g",
     "kernel_H",
     "kernel_h",
@@ -96,20 +95,6 @@ def kernel_h(u):
     b = arr[~right]
     out[~right] = -sinc(b + 1.0) / b
     return float(out) if scalar else out
-
-
-_KERNELS = {"g": kernel_g, "H": kernel_H, "h": kernel_h}
-
-
-def eval_kernel(kind, u):
-    """Evaluate one of the kernels g, H, h at a finite real u."""
-    try:
-        fn = _KERNELS[kind]
-    except KeyError:
-        raise ValueError(f"unknown kernel kind {kind!r}; expected g, H or h")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("kernel argument must be finite")
-    return fn(u)
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,15 @@ class TestEval:
         assert out == "\n".join(expected) + "\n"
 
     def test_csv_to_a_text_only_stream(self, capsys):
-        # The CSV goes to stdout's binary buffer; a stdout without one (an
-        # io.StringIO) gets the same text.
-        _, want, _ = run(capsys, "eval", "--grid=-5:5:1500")
-        stream = io.StringIO()
-        with contextlib.redirect_stdout(stream):
-            assert main(["eval", "--grid=-5:5:1500"]) == 0
-        assert stream.getvalue() == want
+        # Reports go to stdout's binary buffer; a stdout without one (an
+        # io.StringIO) gets the same text, for eval's CSV and a JSON report.
+        for argv in (["eval", "--grid=-5:5:1500"],
+                     ["search", "--mode", "remark", "--n", "6", "--trials", "4"]):
+            _, want, _ = run(capsys, *argv)
+            stream = io.StringIO()
+            with contextlib.redirect_stdout(stream):
+                assert main(argv) == 0
+            assert stream.getvalue() == want
 
     @pytest.mark.parametrize("n", [100_001, 300_001])
     def test_csv_memory_is_bounded(self, n, tmp_path):
@@ -394,6 +396,27 @@ class TestHilbert:
         code, _, err = run(capsys, "hilbert", "--nodes", nodes, "--tol", "nan")
         assert code == 2
         assert "tol" in err
+
+    @pytest.mark.parametrize("with_coeffs", [False, True])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1", "abc"])
+    def test_bad_constant_exits_2_at_parse(self, bad, with_coeffs, tmp_path,
+                                           capsys, monkeypatch):
+        # Refused where it is parsed, before the solve, with or without
+        # the coefficients that would use it.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a bad --constant reached the solve")
+
+        monkeypatch.setattr(hb, "sharp_constant", no_solve)
+        argv = ["hilbert", "--nodes", self.write_nodes(tmp_path, "0.0\n1.0\n"),
+                "--constant", bad]
+        if with_coeffs:
+            coeffs = tmp_path / "coeffs.txt"
+            coeffs.write_text("1.0,0.0\n0.0,1.0\n")
+            argv += ["--coeffs", str(coeffs)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage:") and "constant" in err
 
 
 class TestSearch:

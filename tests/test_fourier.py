@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import extremal.fourier as fourier
 from extremal.fourier import (
     _filon_central,
-    band_limit_check,
     g_hat,
     numeric_ft,
     psi_beurling_hat,
@@ -374,22 +373,14 @@ class TestNumericFTArray:
 
 
 class TestBandLimitCheck:
+    # On |t| >= 1 both closed forms are -1/(pi i t); the Filon engine must
+    # agree there.
     def test_psi_residual_small(self):
-        worst = band_limit_check("psi", [1.25, 2.0, 3.5, 5.0, 10.0, -1.25, -2.0])
+        ts = np.array([1.25, 2.0, 3.5, 5.0, 10.0, -1.25, -2.0])
+        worst = np.max(np.abs(numeric_ft("psi", ts) - psi_hat(ts)))
         assert worst < 1e-12
 
     def test_beurling_residual_small(self):
-        worst = band_limit_check("psi_beurling", [1.25, 2.0, 3.5, 5.0, 10.0])
+        ts = np.array([1.25, 2.0, 3.5, 5.0, 10.0])
+        worst = np.max(np.abs(numeric_ft("psi_beurling", ts) - psi_beurling_hat(ts)))
         assert worst < 1e-10
-
-    def test_inside_band_rejected(self):
-        with pytest.raises(ValueError):
-            band_limit_check("psi", [0.5, 2.0])
-
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            band_limit_check("g", [2.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            band_limit_check("psi", [])

@@ -638,7 +638,7 @@ class TestConstantSearch:
 
     def test_node_sampler_at_size_cap(self):
         # 2048 nodes on [0, 10] with gap 1e-4: rejection sampling never succeeds.
-        lam = hb._random_nodes(np.random.default_rng(0), 2048, min_gap=1e-4)
+        lam = hb._gapped_nodes(np.random.default_rng(0).random(2048), 0.0, 10.0, 1e-4)
         assert lam.shape == (2048,)
         assert 0.0 <= lam[0] and lam[-1] <= 10.0
         assert np.min(np.diff(lam)) >= 1e-4 - 1e-12
@@ -647,7 +647,9 @@ class TestConstantSearch:
         # Conditioned on gaps >= g, x_i - (i-1) g are uniform order statistics
         # on [0, L - (n-1) g]: E[x_i] = i (L - (n-1) g) / (n+1) + (i-1) g.
         rng = np.random.default_rng(37)
-        draws = np.array([hb._random_nodes(rng, 3, min_gap=2.0) for _ in range(20_000)])
+        draws = np.array(
+            [hb._gapped_nodes(rng.random(3), 0.0, 10.0, 2.0) for _ in range(20_000)]
+        )
         assert np.min(np.diff(draws, axis=1)) >= 2.0 - 1e-12
         expected = np.arange(1, 4) * 6.0 / 4.0 + 2.0 * np.arange(3)
         assert np.max(np.abs(draws.mean(axis=0) - expected)) < 0.05

@@ -18,7 +18,6 @@ from extremal.majorants import (
     ToleranceNotMetError,
     beurling_b,
     closed_columns,
-    eval_kernel,
     g_minus_heaviside_closed,
     kernel_H,
     kernel_g,
@@ -101,31 +100,27 @@ class TestSignFunctions:
 
 class TestKernels:
     def test_g_examples(self):
-        assert eval_kernel("g", 0.0) == 0.0
-        assert eval_kernel("g", -1.0) == 1.0
-        assert eval_kernel("g", -0.5) == pytest.approx(8.0 / math.pi**2, rel=1e-15)
-        assert eval_kernel("g", 1.0) == 0.0
-        assert eval_kernel("g", -2.0) == 0.0
+        assert kernel_g(0.0) == 0.0
+        assert kernel_g(-1.0) == 1.0
+        assert kernel_g(-0.5) == pytest.approx(8.0 / math.pi**2, rel=1e-15)
+        assert kernel_g(1.0) == 0.0
+        assert kernel_g(-2.0) == 0.0
 
     def test_H_examples(self):
-        assert eval_kernel("H", -1.0) == 1.0
-        assert eval_kernel("H", 0.0) == 0.0
-        assert eval_kernel("H", 3.0) == 0.0
-        assert eval_kernel("H", -0.5) == pytest.approx(4.0 / math.pi**2, rel=1e-15)
+        assert kernel_H(-1.0) == 1.0
+        assert kernel_H(0.0) == 0.0
+        assert kernel_H(3.0) == 0.0
+        assert kernel_H(-0.5) == pytest.approx(4.0 / math.pi**2, rel=1e-15)
 
     def test_h_examples(self):
-        assert eval_kernel("h", -1.0) == 1.0  # removable singularity, positive root
-        assert eval_kernel("h", 0.0) == 1.0
-        assert eval_kernel("h", 0.5) == pytest.approx((2.0 / math.pi) / 1.5, rel=1e-15)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            eval_kernel("q", 0.0)
+        assert kernel_h(-1.0) == 1.0  # removable singularity, positive root
+        assert kernel_h(0.0) == 1.0
+        assert kernel_h(0.5) == pytest.approx((2.0 / math.pi) / 1.5, rel=1e-15)
 
     def test_g_near_origin_linear(self):
         # g(u) = -u (1 - 2u + O(u^2)) near 0.
         for u in (1e-6, -1e-6, 1e-9):
-            assert eval_kernel("g", u) == pytest.approx(-u, rel=3.0 * abs(u) + 1e-12)
+            assert kernel_g(u) == pytest.approx(-u, rel=3.0 * abs(u) + 1e-12)
 
     def test_sign_pattern(self):
         u = np.linspace(-50.0, 50.0, 100_001)
