@@ -201,35 +201,34 @@ def _transform_check(name, kind, closed, ts, limit):
 def cmd_verify(args):
     tol = check_tol(args.tol, 1e-10, 1e-4)
     rng = Draws(args.seed)
-    checks = []
 
-    # The deficit integrals: int g = 1, int psi = int (M - sgn) = 2 and
-    # int (G - x_+^0) = 1.
-    for kind, exact in (("g", 1.0), ("psi", 2.0), ("G_minus_heaviside", 1.0)):
-        res = line_integral(kind, -math.inf, math.inf, tol)
-        checks.append(_check(f"integral_{kind}", res.value - exact, tol))
+    # Each integral once, at one tolerance q: g over the line, psi (which
+    # jumps at 0) and H over each half-line.  The integral checks derive
+    # from these five values, and each checked value errs by at most q.
+    q = min(tol, 1e-9)
+    g = line_integral("g", -math.inf, math.inf, q).value
+    psi, H = [], []
+    for a, b in ((-math.inf, 0.0), (0.0, math.inf)):
+        for kind, values in (("psi", psi), ("H", H)):
+            values.append(line_integral(kind, a, b, 0.5 * q).value)
 
-    # Poisson summation: the sum over the integers is exactly 1 for g and
-    # H (only n = -1 contributes; every other n is an exact zero of the
-    # reduced-argument sinc), as is the integral over the line.
+    # int g = 1 and the deficit int psi = int (M - sgn) = 2.  Poisson
+    # summation: the sum over the integers is exactly 1 for g and H (only
+    # n = -1 contributes; every other n is an exact zero of the
+    # reduced-argument sinc), as is the integral over the line.  The
+    # half-line exchange identities (H = -u g)
+    #   int_{-inf}^0 G = int_{-inf}^0 H,  int_0^inf (G - 1) = int_0^inf H
+    # integrate G - x_+^0 = psi / 2 (off the origin, since M = 2G - 1).
     lattice = np.arange(-100.0, 101.0)
-    for kind, kernel in (("g", kernel_g), ("H", kernel_H)):
-        total = math.fsum(kernel(lattice).tolist())
-        integral = line_integral(kind, -math.inf, math.inf, 1e-9).value
-        checks.append(_check(f"poisson_sum_{kind}", total - 1.0, 1e-14))
-        checks.append(
-            _check(f"poisson_integral_{kind}", integral - 1.0, 1e-8)
-        )
-
-    # The half-line exchange identities (H = -u g):
-    #   int_{-inf}^0 G = int_{-inf}^0 H,  int_0^inf (G - 1) = int_0^inf H,
-    # each integral to tol / 2.
-    for axis, a, b in (("negative", -math.inf, 0.0), ("positive", 0.0, math.inf)):
-        G_part = line_integral("G_minus_heaviside", a, b, 0.5 * tol).value
-        moment = line_integral("H", a, b, 0.5 * tol).value
-        checks.append(
-            _check(f"moment_identity_{axis}_axis", G_part - moment, 1e-8)
-        )
+    checks = [
+        _check("integral_g", g - 1.0, min(tol, 1e-8)),
+        _check("integral_psi", psi[0] + psi[1] - 2.0, tol),
+        _check("poisson_sum_g", math.fsum(kernel_g(lattice)) - 1.0, 1e-14),
+        _check("poisson_sum_H", math.fsum(kernel_H(lattice)) - 1.0, 1e-14),
+        _check("poisson_integral_H", H[0] + H[1] - 1.0, 1e-8),
+        _check("moment_identity_negative_axis", 0.5 * psi[0] - H[0], 1e-8),
+        _check("moment_identity_positive_axis", 0.5 * psi[1] - H[1], 1e-8),
+    ]
 
     # The band identity: on |t| >= 1 both deficit transforms are -1/(pi i t).
     band = [1.25, 2.0, 3.5, 5.0, 10.0, -1.25, -2.0]

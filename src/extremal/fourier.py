@@ -120,7 +120,7 @@ def psi_beurling_hat(t):
 _FT_PANEL = 0.25
 _FT_DEGREE = 10  # Chebyshev interpolation degree per panel
 
-# The kinds with a transform; H and G - x_+^0 are integrated, not transformed.
+# The kinds with a transform; H is integrated, not transformed.
 _FT_KERNELS = {kind: _KINDS[kind].closed for kind in ("g", "psi", "psi_beurling")}
 
 

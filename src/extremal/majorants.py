@@ -13,12 +13,14 @@ Core objects:
   (the kernels are ``(1 - cos 2 pi x) * envelope``, psi adds its
   integration by parts), so integrals and Fourier transforms of tails
   reduce to E_n channels summed by :func:`tail_transform`,
-* :func:`line_integral`, the one routine that integrates g, H, psi,
-  ``G - x_+^0`` or ``B - sgn`` over any interval: adaptive quadrature on
-  the window ``[-TAIL_CUTOFF, TAIL_CUTOFF]`` plus closed-form tails beyond
-  it, with a checked error estimate.
+* :func:`line_integral`, the one routine that integrates g, H, psi or
+  ``B - sgn`` over any interval: adaptive quadrature on the window
+  ``[-TAIL_CUTOFF, TAIL_CUTOFF]`` plus closed-form tails beyond it, with a
+  checked error estimate.
 
 Conventions: ``sgn(0) = 0`` and the upper Heaviside ``x_+^0(0) = 1``.
+Since M = 2G - 1, the Heaviside deficit ``G - x_+^0`` is psi / 2 off the
+origin, bit for bit, so its integrals are those of psi halved.
 
 The vectorized closed forms (``G_closed`` etc.) are the one route to G, M,
 psi and phi used for grids and Fourier node tables; the tests check
@@ -50,7 +52,6 @@ __all__ = [
     "beurling_b",
     "psi_closed",
     "psi_beurling_closed",
-    "g_minus_heaviside_closed",
     "tail_transform",
     "line_integral",
     "TAIL_CUTOFF",
@@ -172,13 +173,6 @@ def closed_columns(x):
     M = _majorant(G)
     phi = _deficit(-x, _majorant(G_reflected))
     return G, M, beurling_b(x), _deficit(x, M), phi
-
-
-def g_minus_heaviside_closed(x):
-    """G(x) - x_+^0(x); integrable with integral 1."""
-    arr, scalar = _as_array(x)
-    out = G_closed(arr) - np.where(arr >= 0.0, 1.0, 0.0)
-    return float(out) if scalar else out
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +324,6 @@ def _psi_trunc(X):
     return X * _poly_trunc(X) + parts * X ** (2 - K) / ((K - 1) * (K - 2))
 
 
-_PSI_RIGHT = _psi_series(_RHO_RIGHT)
-_PSI_LEFT = _psi_series(_RHO_LEFT)
-
 # Every kind that line_integral and tail_transform take (numeric_ft takes
 # g, psi and psi_beurling), in one table: its closed form, its right and
 # left tail channels, the divisor of its tail series and their truncation
@@ -344,9 +335,8 @@ _KINDS = {
                2.0 * np.pi**2, _poly_trunc),
     "H": _Kind(kernel_H, _cosine(_Q_RIGHT), _cosine(_Q_LEFT), 2.0 * np.pi**2,
                _poly_trunc),
-    "psi": _Kind(psi_closed, _PSI_RIGHT, _PSI_LEFT, np.pi**2, _psi_trunc),
-    "G_minus_heaviside": _Kind(g_minus_heaviside_closed, _PSI_RIGHT,
-                               _PSI_LEFT, 2.0 * np.pi**2, _psi_trunc),
+    "psi": _Kind(psi_closed, _psi_series(_RHO_RIGHT), _psi_series(_RHO_LEFT),
+                 np.pi**2, _psi_trunc),
     "psi_beurling": _Kind(psi_beurling_closed, _cosine(_R_RIGHT),
                           _cosine(_S_LEFT), np.pi**2, _bernoulli_trunc),
 }
@@ -409,7 +399,7 @@ def tail_transform(kind, X, t, side):
 # window and the closed-form tails.
 
 def line_integral(kind, a, b, tol, max_evals=10_000_000):
-    """integral_a^b of g, H, psi, G - x_+^0 or B - sgn, -inf <= a < b <= inf.
+    """integral_a^b of g, H, psi or B - sgn, -inf <= a < b <= inf.
 
     The part of [a, b] inside [-T, T], T = TAIL_CUTOFF, is integrated
     adaptively to ``tol / 2``; each part outside is the closed-form

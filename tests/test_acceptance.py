@@ -49,9 +49,10 @@ def test_01_deficit_integral_of_monotone_majorant():
 
 
 def test_02_deficit_integral_of_heaviside_majorant():
-    res = whole_line("G_minus_heaviside", 1e-9)
-    assert res.value == pytest.approx(1.0, abs=1e-8)
-    report(f"02 whole-line integral of (G - step) = {res.value:.12f} (target 1, tol 1e-8)")
+    # G - x_+^0 = psi / 2 off the origin (M = 2G - 1)
+    value = whole_line("psi", 1e-9).value / 2.0
+    assert value == pytest.approx(1.0, abs=1e-8)
+    report(f"02 whole-line integral of (G - step) = {value:.12f} (target 1, tol 1e-8)")
 
 
 def test_03_value_at_origin():

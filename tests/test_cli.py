@@ -286,6 +286,54 @@ class TestVerify:
         by_name = {c["name"]: c for c in rep["checks"]}
         assert by_name["integral_psi"]["residual"] <= 1e-8
 
+    def test_five_line_integrals(self, capsys, monkeypatch):
+        # g over the line, psi and H over each half-line: each integral once.
+        calls = []
+        line_integral = cli.line_integral
+
+        def counted(kind, a, b, tol):
+            calls.append((kind, a, b))
+            return line_integral(kind, a, b, tol)
+
+        monkeypatch.setattr(cli, "line_integral", counted)
+        code, _, _ = run(capsys, "verify")
+        assert code == 0
+        assert sorted(calls) == sorted([
+            ("g", -math.inf, math.inf),
+            ("psi", -math.inf, 0.0), ("psi", 0.0, math.inf),
+            ("H", -math.inf, 0.0), ("H", 0.0, math.inf),
+        ])
+
+    def test_each_check_named_once(self, capsys):
+        # One check per fact, each named once: the Heaviside deficit
+        # G - x_+^0 is psi / 2, so its integral is not a check of its own,
+        # and neither is a second line integral of g.
+        _, out, _ = run(capsys, "verify")
+        names = [c["name"] for c in json.loads(out)["checks"]]
+        assert names == [
+            "integral_g", "integral_psi", "poisson_sum_g", "poisson_sum_H",
+            "poisson_integral_H", "moment_identity_negative_axis",
+            "moment_identity_positive_axis", "band_residual_psi",
+            "band_residual_beurling", "kernel_factorization",
+            "g_hat_vs_numeric", "psi_hat_vs_numeric",
+            "telescoping_vs_identity", "telescoping_nonnegative",
+            "majorant_M_min_margin", "majorant_B_min_margin",
+            "kernel_sign_pattern",
+        ]
+
+    def test_loose_tol_keeps_integral_limits(self, capsys):
+        # One integral tolerance, min(tol, 1e-9), so the checks that read
+        # the integrals hold to 1e-8 at the loosest tol as well.
+        code, out, _ = run(capsys, "verify", "--tol", "1e-4")
+        assert code == 0
+        by_name = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert by_name["integral_g"]["limit"] == 1e-8
+        assert by_name["integral_psi"]["limit"] == 1e-4
+        for name in ("integral_g", "integral_psi", "poisson_integral_H",
+                     "moment_identity_negative_axis",
+                     "moment_identity_positive_axis"):
+            assert by_name[name]["residual"] <= 1e-8, name
+
     def test_byte_identical_reports(self, capsys):
         _, out1, _ = run(capsys, "verify", "--seed", "7")
         _, out2, _ = run(capsys, "verify", "--seed", "7")

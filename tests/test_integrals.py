@@ -12,7 +12,6 @@ from extremal.quadrature import ToleranceNotMetError
 EXACT_INTEGRALS = {
     "g": 1.0,
     "psi": 2.0,
-    "G_minus_heaviside": 1.0,
     "H": 1.0,
 }
 
@@ -90,11 +89,14 @@ def half_line_parts(tol):
 
         integral_{-inf}^{0} G(x) dx      = integral_{-inf}^{0} H(u) du
         integral_{0}^{inf} (G(x)-1) dx   = integral_{0}^{inf} H(u) du
+
+    Off the origin G - x_+^0 is psi / 2, so the left sides are halves of
+    the integrals of psi returned here.
     """
     parts = {
-        "negative_axis_G_integral": ("G_minus_heaviside", -math.inf, 0.0),
+        "negative_axis_psi_integral": ("psi", -math.inf, 0.0),
         "negative_axis_moment": ("H", -math.inf, 0.0),
-        "positive_axis_G_integral": ("G_minus_heaviside", 0.0, math.inf),
+        "positive_axis_psi_integral": ("psi", 0.0, math.inf),
         "positive_axis_moment": ("H", 0.0, math.inf),
     }
     return {name: line_integral(kind, a, b, tol)
@@ -106,17 +108,16 @@ class TestHalfLineMoments:
         rep = {k: r.value for k, r in half_line_parts(5e-10).items()}
         # integral of G over (-inf, 0] equals integral of H there, and the
         # same on [0, inf) after removing the step.
-        assert rep["negative_axis_G_integral"] == pytest.approx(
-            rep["negative_axis_moment"], abs=1e-8
-        )
-        assert rep["positive_axis_G_integral"] == pytest.approx(
-            rep["positive_axis_moment"], abs=1e-8
-        )
+        for axis in ("negative", "positive"):
+            assert rep[f"{axis}_axis_psi_integral"] / 2.0 == pytest.approx(
+                rep[f"{axis}_axis_moment"], abs=1e-8
+            )
 
     def test_halves_sum_to_deficit(self):
         rep = {k: r.value for k, r in half_line_parts(5e-10).items()}
-        total = rep["negative_axis_G_integral"] + rep["positive_axis_G_integral"]
-        assert total == pytest.approx(1.0, abs=1e-8)
+        total = rep["negative_axis_psi_integral"] + rep["positive_axis_psi_integral"]
+        # integral (G - x_+^0) = 1, that is integral psi = 2
+        assert total / 2.0 == pytest.approx(1.0, abs=1e-8)
 
     def test_error_estimate_present(self):
         parts = half_line_parts(5e-9)

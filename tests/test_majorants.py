@@ -18,7 +18,6 @@ from extremal.majorants import (
     ToleranceNotMetError,
     beurling_b,
     closed_columns,
-    g_minus_heaviside_closed,
     kernel_H,
     kernel_g,
     kernel_h,
@@ -84,18 +83,19 @@ nonpole_floats = st.floats(-40.0, 40.0).filter(
 
 
 class TestSignFunctions:
-    # The conventions live in the deficits: sgn in psi = M - sgn, the
-    # Heaviside step in G - x_+^0.
+    # The conventions: sgn in the deficit psi = M - sgn, and the upper
+    # Heaviside step x_+^0 under its majorant G.
     def test_sgn(self):
         assert psi_closed(3.2) == M_closed(3.2) - 1.0
         assert psi_closed(-0.001) == M_closed(-0.001) + 1.0
         assert psi_closed(0.0) == M_closed(0.0)  # sgn(0) = 0
 
     def test_heaviside_upper(self):
-        assert g_minus_heaviside_closed(2.0) == G_closed(2.0) - 1.0
-        # upper semicontinuous choice, x_+^0(0) = 1
-        assert g_minus_heaviside_closed(0.0) == G_closed(0.0) - 1.0
-        assert g_minus_heaviside_closed(-2.0) == G_closed(-2.0)
+        # upper semicontinuous choice, x_+^0(0) = 1, which G majorizes as
+        # well; there G - x_+^0 is psi / 2 - 1/2, as sgn(0) = 0 halves
+        # the jump.
+        assert G_closed(0.0) >= 1.0
+        assert G_closed(0.0) - 1.0 == psi_closed(0.0) / 2.0 - 0.5
 
 
 class TestKernels:
@@ -287,8 +287,7 @@ class TestLineIntegral:
 
     def test_every_kind_resolves_in_one_table(self):
         # The integral over the line of each kind; h has no tail series.
-        totals = {"g": 1.0, "H": 1.0, "psi": 2.0, "G_minus_heaviside": 1.0,
-                  "psi_beurling": 1.0}
+        totals = {"g": 1.0, "H": 1.0, "psi": 2.0, "psi_beurling": 1.0}
         assert list(majorants._KINDS) == list(totals)
         for kind, total in totals.items():
             res = line_integral(kind, -math.inf, math.inf, 1e-10)
@@ -460,11 +459,17 @@ class TestDeficits:
         for v in (0.3, -2.5, 0.0):
             assert G_closed(v, reflect=True) == (G_closed(v), G_closed(-v))
 
-    def test_g_minus_heaviside(self):
-        for x in (-1.0, 0.0, 1.0, 2.5):
-            assert g_minus_heaviside_closed(x) == pytest.approx(
-                G_closed(x) - (1.0 if x >= 0.0 else 0.0), rel=1e-14, abs=1e-16
-            )
+    def test_step_deficit_is_half_psi(self):
+        # G - x_+^0 = psi / 2 off the origin, bit for bit, so integrals of
+        # the Heaviside deficit are integrals of psi halved.
+        rng = np.random.default_rng(26)
+        x = np.concatenate([
+            np.linspace(-60.0, 60.0, 120_002),
+            rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-300, 4, 20_000),
+        ])
+        assert np.all(x != 0.0)
+        step = G_closed(x) - (x >= 0.0)
+        assert step.tobytes() == (psi_closed(x) / 2.0).tobytes()
 
     def test_beurling_deficit_examples(self):
         # sgn(0) = 0 by convention, so the deficit at the origin is B(0) = 1.
