@@ -47,7 +47,6 @@ from .hilbert import (
     sharp_constant,
     telescoping_identity,
     telescoping_sum,
-    verify_inequality,
     weighted_norm,
 )
 
@@ -85,7 +84,6 @@ __all__ = [
     "sharp_constant",
     "telescoping_identity",
     "telescoping_sum",
-    "verify_inequality",
     "weighted_norm",
     "__version__",
 ]

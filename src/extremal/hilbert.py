@@ -57,7 +57,6 @@ __all__ = [
     "compute_deltas",
     "bilinear_form",
     "weighted_norm",
-    "verify_inequality",
     "sharp_constant",
     "telescoping_sum",
     "telescoping_identity",
@@ -79,7 +78,7 @@ SELBERG_REPORTED = 3.2
 CONJECTURED_SHARP = math.pi
 
 _CACHE_LIMIT = 8192
-_CHUNK = 128
+_CHUNK = 64
 # Lanczos vectors held at once, and steps between convergence checks (even).
 _BASIS_ROWS = 512
 _CHECK_EVERY = 8
@@ -173,19 +172,15 @@ def _coefficients(nodes, a):
     return _finite(arr, "coefficients")
 
 
-def _difference_matrix(lam):
-    return lam[..., :, None] - lam[..., None, :]
-
-
 def bilinear_form(nodes, a):
-    """Phi(a) = sum_{m != n} a_m conj(a_n) / (lambda_m - lambda_n)."""
-    arr = _coefficients(nodes, a)
-    lam = nodes.lambdas
-    diff = _difference_matrix(lam)
-    np.fill_diagonal(diff, 1.0)
-    weights = np.outer(arr, arr.conj()) / diff
-    np.fill_diagonal(weights, 0.0)
-    return complex(weights.sum())
+    """Phi(a) = sum_{m != n} a_m conj(a_n) / (lambda_m - lambda_n).
+
+    With d = a / sqrt(delta), Phi(a) = d^H A d for the matrix A of
+    :func:`sharp_constant`, taken as two real products (of the real and
+    the imaginary part of d), so no complex n x n array is made."""
+    d = _coefficients(nodes, a) / np.sqrt(nodes.deltas)
+    apply_A = _antisym_apply(nodes)
+    return complex(np.vdot(d, apply_A(d.real) + 1j * apply_A(d.imag)))
 
 
 def weighted_norm(nodes, a):
@@ -194,46 +189,40 @@ def weighted_norm(nodes, a):
     return float(np.sum(np.abs(arr) ** 2 / nodes.deltas))
 
 
-def verify_inequality(nodes, a, C):
-    """Margin C * sum |a_n|^2/delta_n - |Phi(a)| (nonnegative = holds)."""
-    C = float(C)
-    if not (C > 0.0 and math.isfinite(C)):
-        raise ValueError("C must be a positive finite real")
-    return C * weighted_norm(nodes, a) - abs(bilinear_form(nodes, a))
-
-
 # ---------------------------------------------------------------------------
 # Sharp constant by one Lanczos process on the antisymmetric matrix.
 
 def _antisym_apply(nodes):
     """Return v -> A v with A_{nm} = sqrt(delta_n delta_m)/(lambda_m - lambda_n)
-    and zero diagonal.  A is held densely up to ``_CACHE_LIMIT`` nodes; above
-    that its row blocks are rebuilt on every application.  Either way rows
-    are built ``_CHUNK`` at a time, so the dense build peaks near the size
-    of A itself."""
+    and zero diagonal.  A is held densely up to ``_CACHE_LIMIT`` nodes;
+    above that its row blocks are rebuilt on every application.  Either way
+    rows are built ``_CHUNK`` at a time in place, so the dense build peaks
+    at A plus one block of temporaries."""
     lam = nodes.lambdas
     root = np.sqrt(nodes.deltas)
     n = lam.size
     spans = [(start, min(start + _CHUNK, n)) for start in range(0, n, _CHUNK)]
 
-    def build_rows(start, stop):
-        block = lam[None, :] - lam[start:stop, None]
-        block[block == 0.0] = 1.0
-        rows = np.outer(root[start:stop], root) / block
-        for i in range(start, stop):
-            rows[i - start, i] = 0.0
+    def build_rows(start, stop, rows):
+        diagonal = (np.arange(stop - start), np.arange(start, stop))
+        np.subtract(lam, lam[start:stop, None], out=rows)
+        rows[diagonal] = 1.0
+        np.divide(np.outer(root[start:stop], root), rows, out=rows)
+        rows[diagonal] = 0.0
         return rows
 
     if n <= _CACHE_LIMIT:
         A = np.empty((n, n))
         for start, stop in spans:
-            A[start:stop] = build_rows(start, stop)
+            build_rows(start, stop, A[start:stop])
         return lambda v: A @ v
+
+    block = np.empty((_CHUNK, n))
 
     def apply_A(v):
         out = np.empty_like(v)
         for start, stop in spans:
-            out[start:stop] = build_rows(start, stop) @ v
+            out[start:stop] = build_rows(start, stop, block[:stop - start]) @ v
         return out
 
     return apply_A
@@ -353,7 +342,8 @@ def _telescoping_complex(lambdas, deltas, a, majorant):
     if majorant not in ("M", "BeurlingB"):
         raise ValueError("majorant must be 'M' or 'BeurlingB'")
     pair_delta = np.maximum(deltas[..., :, None], deltas[..., None, :])
-    kernel = _deficit_hat_matrix(majorant, pair_delta, _difference_matrix(lambdas))
+    diff = lambdas[..., :, None] - lambdas[..., None, :]
+    kernel = _deficit_hat_matrix(majorant, pair_delta, diff)
     pairs = a[..., :, None] * a.conj()[..., None, :]
     return np.sum(pairs * kernel, axis=(-2, -1))
 

@@ -44,7 +44,6 @@ def test_public_names():
         "sharp_constant",
         "telescoping_identity",
         "telescoping_sum",
-        "verify_inequality",
         "weighted_norm",
         "__version__",
     ]

@@ -316,7 +316,8 @@ class TestVerify:
             "moment_identity_positive_axis", "band_residual_psi",
             "band_residual_beurling", "kernel_factorization",
             "g_hat_vs_numeric", "psi_hat_vs_numeric",
-            "telescoping_vs_identity", "telescoping_nonnegative",
+            "psi_beurling_hat_vs_numeric", "telescoping_vs_identity",
+            "telescoping_nonnegative",
             "majorant_M_min_margin", "majorant_B_min_margin",
             "kernel_sign_pattern",
         ]
@@ -333,6 +334,22 @@ class TestVerify:
                      "moment_identity_negative_axis",
                      "moment_identity_positive_axis"):
             assert by_name[name]["residual"] <= 1e-8, name
+
+    def test_planted_beurling_error_below_the_band_fails(self, capsys, monkeypatch):
+        # A relative error of 1e-5 in psi_beurling_hat on |t| < 1 only: the
+        # band check cannot see it, the check against the Filon route must.
+        closed = cli.psi_beurling_hat
+
+        def planted(t):
+            t = np.asarray(t, dtype=float)
+            return closed(t) * np.where(np.abs(t) < 1.0, 1.0 + 1e-5, 1.0)
+
+        monkeypatch.setattr(cli, "psi_beurling_hat", planted)
+        code, out, _ = run(capsys, "verify")
+        assert code == 1
+        rep = json.loads(out)
+        failed = [c["name"] for c in rep["checks"] if not c["passed"]]
+        assert failed == ["psi_beurling_hat_vs_numeric"]
 
     def test_byte_identical_reports(self, capsys):
         _, out1, _ = run(capsys, "verify", "--seed", "7")
@@ -392,6 +409,36 @@ class TestHilbert:
         margins = rep["margins"]
         assert margins["user"] == pytest.approx(6.5 * 8.0 - 8.0, rel=1e-12)
         assert margins["fourier_2pi"] > 0.0
+
+    def test_coefficients_evaluated_once(self, tmp_path, capsys, monkeypatch):
+        # Phi and W once per report; each margin derives from the two.
+        calls = []
+
+        def counted(name):
+            route = getattr(hb, name)
+
+            def call(*args):
+                calls.append(name)
+                return route(*args)
+
+            monkeypatch.setattr(hb, name, call)
+
+        counted("bilinear_form")
+        counted("weighted_norm")
+        nodes = self.write_nodes(tmp_path, "0.0\n0.25\n1.0\n")
+        coeffs = tmp_path / "coeffs.txt"
+        coeffs.write_text("1.0,0.0\n0.0,1.0\n2.0,-1.0\n")
+        code, out, _ = run(capsys, "hilbert", "--nodes", nodes,
+                           "--coeffs", str(coeffs), "--constant", "3")
+        assert code == 0
+        assert sorted(calls) == ["bilinear_form", "weighted_norm"]
+        rep = json.loads(out)
+        phi = complex(rep["bilinear_form"]["re"], rep["bilinear_form"]["im"])
+        constants = {"schur_pi": hb.BOUND_SCHUR, "preissmann": hb.BOUND_PREISSMANN,
+                     "fourier_2pi": hb.BOUND_FOURIER, "user": 3.0}
+        assert rep["margins"] == {
+            name: C * rep["weighted_sum"] - abs(phi) for name, C in constants.items()
+        }
 
     def test_report_keys(self, tmp_path, capsys):
         # The report's schema, in its order: a change to it is a contract
