@@ -22,7 +22,7 @@ import numpy as np
 
 from .majorants import _KINDS, TAIL_CUTOFF, tail_transform
 from .quadrature import ToleranceNotMetError, check_tol
-from .specfun import _as_array, sinc
+from .specfun import _elementwise, _horner, sinc
 
 __all__ = [
     "g_hat",
@@ -37,6 +37,7 @@ _TWO_PI = 2.0 * np.pi
 # ---------------------------------------------------------------------------
 # Closed forms.
 
+@_elementwise
 def g_hat(t):
     """Closed-form transform of the kernel g; supported exactly on [-1, 1].
 
@@ -46,16 +47,14 @@ def g_hat(t):
     These are the elementary antiderivatives of 2 pi i e^{2 pi i s}(1-|s|),
     anchored at g_hat(-1) = 0; the derivative identity is covered by tests.
     """
-    arr, scalar = _as_array(t)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
-    e = np.exp(2j * np.pi * arr)
+    e = np.exp(2j * np.pi * t)
     corr = (0.5j / np.pi) * (e - 1.0)
-    left = (1.0 + arr) * e + corr
-    right = (1.0 - arr) * e - corr
-    out = np.where(arr < 0.0, left, right)
-    out = np.where(np.abs(arr) >= 1.0, 0.0, out)
-    return complex(out) if scalar else out
+    left = (1.0 + t) * e + corr
+    right = (1.0 - t) * e - corr
+    out = np.where(t < 0.0, left, right)
+    return np.where(np.abs(t) >= 1.0, 0.0, out)
 
 
 def _band(arr):
@@ -63,6 +62,7 @@ def _band(arr):
     return 1j / (np.pi * np.where(arr == 0.0, 1.0, arr))
 
 
+@_elementwise
 def psi_hat(t):
     """Closed-form transform of the deficit psi = M - sgn.
 
@@ -70,17 +70,15 @@ def psi_hat(t):
     0/0 as 2 e^{i pi t} sinc(t) (1 - |t| - i sgn(t)/(2 pi)) + i sgn(t)/pi
     (psi_hat(0) = 2); -1/(pi i t) exactly on |t| >= 1 (band identity).
     """
-    arr, scalar = _as_array(t)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
-    sgn = np.sign(arr)
+    sgn = np.sign(t)
     inside = (
-        2.0 * np.exp(1j * np.pi * arr) * sinc(arr)
-        * (1.0 - np.abs(arr) - (0.5j / np.pi) * sgn)
+        2.0 * np.exp(1j * np.pi * t) * sinc(t)
+        * (1.0 - np.abs(t) - (0.5j / np.pi) * sgn)
         + (1j / np.pi) * sgn
     )
-    out = np.where(np.abs(arr) >= 1.0, _band(arr), inside)
-    return complex(out) if scalar else out
+    return np.where(np.abs(t) >= 1.0, _band(t), inside)
 
 
 # cot x - 1/x = sum_k c_k x^(2k+1); the omitted terms are < 3e-20 at 0.05 pi.
@@ -88,6 +86,7 @@ _COT_SERIES = (-1 / 3, -1 / 45, -2 / 945, -1 / 4725, -2 / 93555,
                -1382 / 638512875, -4 / 18243225)
 
 
+@_elementwise
 def psi_beurling_hat(t):
     """Closed-form transform of the deficit B - sgn of the interpolating
     majorant (Vaaler, Bull. AMS 12, 1985): 1 at t = 0 (the deficit
@@ -97,21 +96,19 @@ def psi_beurling_hat(t):
     Below |t| = 0.05, cot x - 1/x cancels, so its series is summed; above
     1/2, cot(pi |t|) = -1/tan(pi (1 - |t|)), because 1 - |t| is exact there.
     """
-    arr, scalar = _as_array(t)
-    if not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
-    flat = arr.reshape(-1)
-    out = _band(flat)
-    inside = np.abs(flat) < 1.0
-    a = np.abs(flat[inside])
+    out = _band(t)
+    inside = np.abs(t) < 1.0
+    a = np.abs(t[inside])
     x = np.pi * a
-    h = x * np.polyval(_COT_SERIES[::-1], x * x)  # cot x - 1/x
+    h = x * _horner(_COT_SERIES, x * x)  # cot x - 1/x
     big = a >= 0.05
     b = a[big]
     cot = np.where(b > 0.5, -1.0 / np.tan(np.pi * (1.0 - b)), 1.0 / np.tan(x[big]))
     h[big] = cot - 1.0 / x[big]
-    out[inside] = (1.0 - a) * (1.0 - 1j * np.sign(flat[inside]) * h)
-    return complex(out[0]) if scalar else out.reshape(arr.shape)
+    out[inside] = (1.0 - a) * (1.0 - 1j * np.sign(t[inside]) * h)
+    return out
 
 
 # ---------------------------------------------------------------------------

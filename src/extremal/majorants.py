@@ -40,7 +40,7 @@ from .quadrature import (
     check_tol,
     integrate_adaptive,
 )
-from .specfun import _as_array, expint_en, si_cin, sinc, trigamma
+from .specfun import _elementwise, expint_en, si_cin, sinc, trigamma
 
 __all__ = [
     "kernel_g",
@@ -64,38 +64,37 @@ __all__ = [
 # writing sin(pi u) = -sin(pi (u+1)) swaps the problem point between the two
 # factorizations, so branching at u = -1/2 keeps every evaluation exact.
 
+@_elementwise
 def kernel_g(u):
     """g(u) = -sin^2(pi u) / (pi^2 u (u+1)^2), singularities removed.
 
     Nonnegative on (-inf, 0), nonpositive on (0, inf); g(-1) = 1, g(0) = 0.
     """
-    arr, scalar = _as_array(u)
-    right = arr >= -0.5
-    out = np.empty_like(arr)
-    a = arr[right]
+    right = u >= -0.5
+    out = np.empty_like(u)
+    a = u[right]
     out[right] = -a * sinc(a) ** 2 / (a + 1.0) ** 2
-    b = arr[~right]
+    b = u[~right]
     out[~right] = -sinc(b + 1.0) ** 2 / b
-    return float(out) if scalar else out
+    return out
 
 
+@_elementwise
 def kernel_H(u):
     """H(u) = -u g(u) = sinc^2(u+1); the Fejer-type profile peaking at -1."""
-    arr, scalar = _as_array(u)
-    out = sinc(arr + 1.0) ** 2
-    return float(out) if scalar else out
+    return sinc(u + 1.0) ** 2
 
 
+@_elementwise
 def kernel_h(u):
     """h(u) = sinc(u)/(u+1), with h(-1) = +1 (the sign is a free choice)."""
-    arr, scalar = _as_array(u)
-    right = arr >= -0.5
-    out = np.empty_like(arr)
-    a = arr[right]
+    right = u >= -0.5
+    out = np.empty_like(u)
+    a = u[right]
     out[right] = sinc(a) / (a + 1.0)
-    b = arr[~right]
+    b = u[~right]
     out[~right] = -sinc(b + 1.0) / b
-    return float(out) if scalar else out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -109,6 +108,7 @@ def kernel_h(u):
 #
 # (Checked against the quadrature route and by differentiating back to g.)
 
+@_elementwise
 def G_closed(x, reflect=False):
     """Vectorized closed form of G, within 1e-15 absolute of mpmath.
 
@@ -120,9 +120,7 @@ def G_closed(x, reflect=False):
     2 pi (1 - x), and Cin(-2 pi x) is Cin(2 pi x) bit for bit since Cin is
     even and computed from |x|.
     """
-    arr, scalar = _as_array(x)
-    x1 = arr + 1.0
-    rows = [arr, x1, 1.0 - arr] if reflect else [arr, x1]
+    rows = [x, x + 1.0, 1.0 - x] if reflect else [x, x + 1.0]
     # G is at its limits 0 and 1 long before |x| = 1e300; capping there
     # keeps 2 pi x finite up to the largest double.
     si, cin = si_cin((2.0 * np.pi) * np.clip(np.stack(rows), -1e300, 1e300))
@@ -133,8 +131,6 @@ def G_closed(x, reflect=False):
         + si[k] / np.pi
         for k in range(1, len(rows))
     )
-    if scalar:
-        out = tuple(float(v) for v in out)
     return out if reflect else out[0]
 
 
@@ -148,27 +144,25 @@ def _deficit(x, M):
     return M - np.sign(x)
 
 
+@_elementwise
 def M_closed(x):
     """Vectorized closed form of the monotone majorant M = 2G - 1."""
-    arr, scalar = _as_array(x)
-    out = _majorant(G_closed(arr))
-    return float(out) if scalar else out
+    return _majorant(G_closed(x))
 
 
+@_elementwise
 def psi_closed(x):
     """Deficit psi(x) = M(x) - sgn(x) (closed form)."""
-    arr, scalar = _as_array(x)
-    out = _deficit(arr, M_closed(arr))
-    return float(out) if scalar else out
+    return _deficit(x, M_closed(x))
 
 
+@_elementwise
 def closed_columns(x):
-    """G, M, B, psi and phi at the points of the array ``x``: the columns of
+    """G, M, B, psi and phi at the points ``x``: the columns of
     ``extremal eval``, bit for bit ``G_closed(x)``, ``M_closed(x)``,
     ``beurling_b(x)``, ``psi_closed(x)`` and phi(x) = ``psi_closed(-x)``,
     with G(x) and G(-x) from one ``G_closed(x, reflect=True)`` call.
     """
-    x = np.asarray(x, dtype=float)
     G, G_reflected = G_closed(x, reflect=True)
     M = _majorant(G)
     phi = _deficit(-x, _majorant(G_reflected))
@@ -186,13 +180,12 @@ def closed_columns(x):
 # dodge; at exact integers the sin^2 factor vanishes and the limit value
 # sgn(n) (resp. 1 at n = 0) is returned directly.
 
+@_elementwise
 def beurling_b(x):
     """Vectorized interpolating majorant B of sgn (B(n) = sgn(n), B(0) = 1)."""
-    arr, scalar = _as_array(x)
-    flat = arr.reshape(-1)
-    n = np.round(flat)
-    r = flat - n
-    out = np.empty_like(flat)
+    n = np.round(x)
+    r = x - n
+    out = np.empty_like(x)
 
     exact = r == 0.0
     out[exact] = np.where(n[exact] >= 0.0, 1.0, -1.0)
@@ -200,11 +193,11 @@ def beurling_b(x):
     # Taylor branch about the origin, B(x) = 1 + 2x + O(x^2): keeps tiny
     # negative arguments off the reflection formula, where 1/x^2-sized
     # trigamma values overflow against an underflowing sin^2 prefactor.
-    tiny = ~exact & (np.abs(flat) < 1e-12)
-    out[tiny] = 1.0 + 2.0 * flat[tiny]
+    tiny = ~exact & (np.abs(x) < 1e-12)
+    out[tiny] = 1.0 + 2.0 * x[tiny]
 
     rest = ~exact & ~tiny
-    xm = flat[rest]
+    xm = x[rest]
     s2 = np.sin(np.pi * r[rest]) ** 2
     coef = 2.0 * s2 / np.pi**2
     val = np.empty_like(xm)
@@ -214,16 +207,13 @@ def beurling_b(x):
     xn = xm[~pos]
     val[~pos] = -1.0 + coef[~pos] * (trigamma(-xn) + 1.0 / xn)
     out[rest] = val
-
-    out = out.reshape(arr.shape)
-    return float(out) if scalar else out
+    return out
 
 
+@_elementwise
 def psi_beurling_closed(x):
     """Deficit of the interpolating majorant: B(x) - sgn(x)."""
-    arr, scalar = _as_array(x)
-    out = beurling_b(arr) - np.sign(arr)
-    return float(out) if scalar else out
+    return beurling_b(x) - np.sign(x)
 
 
 # ---------------------------------------------------------------------------

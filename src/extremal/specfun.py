@@ -1,17 +1,18 @@
 """Scalar special functions shared by the rest of the package.
 
-Everything here is vectorized over numpy arrays and returns plain floats
-(complex for ``expint_en``) for scalar input.  The public functions are
+Everything here is vectorized over numpy arrays.  The public functions are
 ``sinc`` (the pi-normalized one, with exact zeros at nonzero integers),
 ``trigamma`` on the positive half-line, ``si_cin`` (the sine integral and
 the entire cosine integral, behind the closed form of G) and ``expint_en``
 (the exponential integral E_n in the closed right half-plane, behind the
 tail channels, and the only place the package evaluates it).  They need
-numpy alone.
+numpy alone.  :func:`_elementwise` is the one home of the scalar/array rule
+of every closed form of one argument in the package.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -33,11 +34,28 @@ _BERNOULLI_EVEN = (
 _SINC_TAYLOR_CUT = 1e-4
 
 
-def _as_array(x):
-    arr = np.asarray(x, dtype=float)
-    return arr, (arr.ndim == 0)
+def _elementwise(fn):
+    """Decorator: ``fn`` gets its first argument, positional or by keyword,
+    as a flat float64 array.  Each array it returns, alone or in a tuple,
+    takes the input's shape, or is a Python ``float`` or ``complex`` for a
+    scalar input (a Python or numpy scalar, or a 0-d array).
+    """
+    first = fn.__code__.co_varnames[0]
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if first in kwargs:
+            args = (kwargs.pop(first), *args)
+        arr = np.asarray(args[0], dtype=float)
+        out = fn(arr.reshape(-1), *args[1:], **kwargs)
+        if isinstance(out, tuple):
+            return tuple(v.reshape(arr.shape) if arr.ndim else v.item() for v in out)
+        return out.reshape(arr.shape) if arr.ndim else out.item()
+
+    return wrapper
 
 
+@_elementwise
 def sinc(x):
     """sin(pi x) / (pi x), with sinc(0) = 1.
 
@@ -46,25 +64,24 @@ def sinc(x):
     over integer grids come out exact.  A degree-6 Taylor branch covers
     ``|x| < 1e-4`` where the direct quotient loses accuracy.
     """
-    arr, scalar = _as_array(x)
-    n = np.round(arr)
-    r = arr - n
+    n = np.round(x)
+    r = x - n
     sign = 1.0 - 2.0 * np.mod(n, 2.0)  # (-1)**n for float n
     num = sign * np.sin(np.pi * r)
     # pi x overflows for |x| > 5.7e307, where x is an integer: num is 0
     # there and the quotient 0 either way.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        direct = num / (np.pi * arr)
-    absx = np.abs(arr)
+        direct = num / (np.pi * x)
+    absx = np.abs(x)
     # The polynomial is evaluated everywhere and kept only below the cut;
     # clamping its argument there leaves those bits alone and keeps the
     # discarded values from overflowing for huge |x|.
     z2 = (np.pi * np.minimum(absx, _SINC_TAYLOR_CUT)) ** 2
     taylor = 1.0 - (z2 / 6.0) * (1.0 - (z2 / 20.0) * (1.0 - z2 / 42.0))
-    out = np.where(absx < _SINC_TAYLOR_CUT, taylor, direct)
-    return float(out) if scalar else out
+    return np.where(absx < _SINC_TAYLOR_CUT, taylor, direct)
 
 
+@_elementwise
 def trigamma(x):
     """Trigamma psi'(x) for x > 0.
 
@@ -74,11 +91,10 @@ def trigamma(x):
     better than 1e-12 across the domain.  Raises ValueError for x <= 0
     or non-finite input.
     """
-    arr, scalar = _as_array(x)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
         raise ValueError("trigamma requires finite x > 0")
 
-    work = arr.copy() if arr.ndim else arr.reshape(1).copy()
+    work = x.copy()
     acc = np.zeros_like(work)
     # Shift every argument above 10 (at most 10 steps since x > 0).
     for _ in range(10):
@@ -97,9 +113,7 @@ def trigamma(x):
         tail += b * power
         power *= inv2
 
-    out = acc + inv + 0.5 * inv2 + tail
-    out = out.reshape(arr.shape)
-    return float(out) if scalar else out
+    return acc + inv + 0.5 * inv2 + tail
 
 
 # ---------------------------------------------------------------------------
@@ -176,26 +190,22 @@ def _horner(coeffs, u):
 _SICI_BLOCK = 8192
 
 
+@_elementwise
 def si_cin(x):
     """Sine integral Si(x) and entire cosine integral Cin(x) for real x.
 
     Cin(x) = integral_0^x (1 - cos t) / t dt = gamma + log|x| - Ci(|x|) is
-    even and Si is odd.  Returns the pair ``(Si, Cin)`` as arrays of the
-    shape of ``x``, or as two floats for scalar input.  Against mpmath both
+    even and Si is odd.  Returns the pair ``(Si, Cin)``.  Against mpmath both
     are within 1e-15 absolute on |x| <= 4; beyond, Si is within an ulp of
     pi/2 and Cin within the rounding of gamma + log|x|, and neither is
     further off than scipy's ``sici`` (tests/test_specfun.py).
     """
-    arr, scalar = _as_array(x)
-    flat = arr.reshape(-1)
-    si = np.empty_like(flat)
-    cin = np.empty_like(flat)
-    for start in range(0, flat.size, _SICI_BLOCK):
+    si = np.empty_like(x)
+    cin = np.empty_like(x)
+    for start in range(0, x.size, _SICI_BLOCK):
         block = slice(start, start + _SICI_BLOCK)
-        si[block], cin[block] = _si_cin_block(flat[block])
-    if scalar:
-        return float(si[0]), float(cin[0])
-    return si.reshape(arr.shape), cin.reshape(arr.shape)
+        si[block], cin[block] = _si_cin_block(x[block])
+    return si, cin
 
 
 def _si_cin_block(x):

@@ -1,10 +1,12 @@
 """The package's public names: a change to them is a contract change and
 shows up here as a test diff."""
 
+import functools
 import inspect
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 import extremal
@@ -81,3 +83,64 @@ def test_public_functions_have_callers():
                    if not line.startswith(f"def {name}(") and line != f'"{name}",'):
             uncalled.append(name)
     assert uncalled == []
+
+
+# The closed forms of one argument, each behind specfun._elementwise, with
+# their parameter names and the length of their tuple result (None for a
+# single array).
+ELEMENTWISE = [
+    (specfun.sinc, ["x"], None),
+    (specfun.trigamma, ["x"], None),
+    (specfun.si_cin, ["x"], 2),
+    (majorants.kernel_g, ["u"], None),
+    (majorants.kernel_H, ["u"], None),
+    (majorants.kernel_h, ["u"], None),
+    (majorants.G_closed, ["x", "reflect"], None),
+    (majorants.M_closed, ["x"], None),
+    (majorants.psi_closed, ["x"], None),
+    (majorants.beurling_b, ["x"], None),
+    (majorants.psi_beurling_closed, ["x"], None),
+    (majorants.closed_columns, ["x"], 5),
+    (fourier.g_hat, ["t"], None),
+    (fourier.psi_hat, ["t"], None),
+    (fourier.psi_beurling_hat, ["t"], None),
+]
+
+
+def test_closed_forms_share_one_elementwise_wrapper():
+    # The scalar/array rule lives in specfun._elementwise alone: each closed
+    # form of one argument is wrapped by it and keeps its parameter names.
+    for fn, params, _ in ELEMENTWISE:
+        assert hasattr(fn, "__wrapped__"), fn.__name__
+        assert list(inspect.signature(fn).parameters) == params, fn.__name__
+    assert not hasattr(specfun, "_as_array")
+
+
+def _results(out, count):
+    if count is None:
+        assert not isinstance(out, tuple)
+        return (out,)
+    assert isinstance(out, tuple) and len(out) == count
+    return out
+
+
+@pytest.mark.parametrize(
+    "fn, params, count",
+    ELEMENTWISE + [(functools.partial(majorants.G_closed, reflect=True), ["x"], 2)],
+    ids=[fn.__name__ for fn, _, _ in ELEMENTWISE] + ["G_closed_reflect"],
+)
+def test_elementwise_convention(fn, params, count):
+    # Points inside and outside the band |t| < 1, all positive for trigamma.
+    grid = np.linspace(0.1, 2.3, 12).reshape(3, 4)
+    flat = _results(fn(grid.ravel()), count)
+    for value, whole in zip(_results(fn(grid), count), flat):
+        assert value.shape == (3, 4)
+        assert value.tobytes() == whole.reshape(3, 4).tobytes()
+    # A scalar of any kind gives Python floats or complexes, bit for bit the
+    # entries of an array call.
+    for x in (0.3, np.float64(0.3), np.array(0.3)):
+        out = _results(fn(x), count)
+        assert all(type(v) in (float, complex) for v in out)
+        assert out == tuple(v[0] for v in _results(fn(np.array([0.3])), count))
+    assert _results(fn(**{params[0]: 0.3}), count) == out
+    assert all(v.shape == (2,) for v in _results(fn([0.3, 0.7]), count))

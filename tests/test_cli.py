@@ -121,7 +121,7 @@ class TestEval:
     def test_csv_to_a_text_only_stream(self, capsys):
         # Reports go to stdout's binary buffer; a stdout without one (an
         # io.StringIO) gets the same text, for eval's CSV and a JSON report.
-        for argv in (["eval", "--grid=-5:5:1500"],
+        for argv in (["eval", "--grid=-5:5:1500"], ["eval", "--grid", "0:1:3"],
                      ["search", "--mode", "remark", "--n", "6", "--trials", "4"]):
             _, want, _ = run(capsys, *argv)
             stream = io.StringIO()
