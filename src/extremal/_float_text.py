@@ -29,12 +29,12 @@ Every block of rows of a call is computed in one workspace through
 ``out=`` and in-place operations: arrays freed after each block would
 have the C allocator hand their pages back to the operating system and
 the next block fault them in again.  The workspace takes 116 bytes a
-value, 0.71 MB for the six columns of eval's 1,024-row blocks; with the
-32 bytes a value of ``translate``'s result and the index arrays of the
-sparse cases, a block of eval's columns peaks below 160 bytes a value
-(blocks whose values all take the sparse cases, such as integers or
-zeros, up to 225).  A value of eval's columns costs about 190 ns (2-core
-x86-64, numpy 2.4).
+value: 0.71 MB for eval's CSV blocks of 1,024 rows and six columns,
+0.12 MB for its JSON blocks of one column.  With the 32 bytes a value of
+``translate``'s result and the index arrays of the sparse cases, a block
+of eval's columns peaks below 160 bytes a value (all-sparse blocks, such
+as integers or zeros, up to 225).  A value of eval's columns costs about
+190 ns (2-core x86-64, numpy 2.4).
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def _word(text, at=0):
 
 @functools.cache
 def _tables():
-    """The lookup tables, built on first use, so that a command which writes
-    no CSV goes without their 0.45 MB and 2 ms.
+    """The lookup tables, built on first use, so that a command which formats
+    no float goes without their 0.45 MB and 2 ms.
 
     By biased exponent: ``limbs[k]``, limb k (32 bits, low first) of Ryū's
     multiplier, which is ``floor(2**k / 5**q) + 1`` where ``e2 >= 0`` and

@@ -16,11 +16,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage/input error (out
 of memory and a full disk included), 3 numerical failure: a routine could
 not meet its tolerance within its budget (``ToleranceNotMetError``) or an
 arithmetic check failed.  Reports are deterministic for a fixed seed (no
-timestamps).  CSV floats are the shortest text that reads back to the
-same double, byte for byte Python's ``repr``, formatted in bulk by
-:mod:`extremal._float_text` (imported by ``eval`` alone), every row block
-in one reused workspace, and written as bytes.  Seeded draws come from
-:mod:`extremal._draws`, the standard library's Mersenne Twister.
+timestamps).  ``eval``'s columns, CSV or JSON, are the shortest text that
+reads back to the same double, byte for byte Python's ``repr``, formatted
+in bulk by :mod:`extremal._float_text` (imported by ``eval`` alone) a row
+block at a time in one workspace, and written as bytes.  Seeded draws come
+from :mod:`extremal._draws`, the standard library's Mersenne Twister.
 """
 
 from __future__ import annotations
@@ -146,37 +146,42 @@ def _grid_blocks(a, b, n, rows):
 def cmd_eval(args):
     a, b, n = args.grid
     tol = check_tol(args.tol, 1e-12, 1e-4)
+    from ._float_text import _ROWS, csv_bytes  # eval alone formats floats
 
-    def tables(rows):
-        # One table per block of the grid, in the order of _EVAL_COLUMNS,
-        # feeds the CSV rows and the JSON columns alike.  The closed forms
-        # are elementwise, so memory holds one block of the grid and its
-        # closed-form temporaries, whatever the grid size.
-        return ((x, *closed_columns(x)) for x in _grid_blocks(a, b, n, rows))
-
+    # One table per row block of the grid, in the order of _EVAL_COLUMNS,
+    # feeds the CSV rows and the JSON columns alike; the CSV holds one block
+    # and its closed-form temporaries at a time, in the formatter's workspace.
+    tables = ((x, *closed_columns(x)) for x in _grid_blocks(a, b, n, _ROWS))
     if args.format == "csv":
-        # Only eval formats floats, so only eval loads the formatter.
-        from ._float_text import _ROWS, csv_bytes
-
-        # Each row block of the formatter is made, evaluated, formatted
-        # and written on its own, in the formatter's one workspace.
         with _output(args.output) as fh:
             fh.write((",".join(_EVAL_COLUMNS) + "\n").encode("ascii"))
-            for text in csv_bytes(tables(_ROWS)):
+            for text in csv_bytes(tables):
                 fh.write(text)
-    else:
-        columns = {name: [] for name in _EVAL_COLUMNS}
-        for table in tables(1024):  # any block size gives the same columns
-            for name, c in zip(_EVAL_COLUMNS, table):
-                columns[name].extend(c.tolist())
-        report = {
-            "command": "eval",
-            "grid": {"start": a, "stop": b, "steps": n},
-            "tolerance_requested": tol,
-            "tolerance_achieved": 5e-14,  # closed forms; see the majorant tests
-            "columns": columns,
-        }
-        _emit_json(report, args.output)
+        return 0
+    # JSON lists a column at a time: the table (48 bytes a point) is filled
+    # before the stream opens, so a table too large for memory leaves no file.
+    columns = np.empty((len(_EVAL_COLUMNS), n))
+    for start, table in zip(range(0, n, _ROWS), tables):
+        columns[:, start:start + _ROWS] = table
+    report = {
+        "command": "eval",
+        "grid": {"start": a, "stop": b, "steps": n},
+        "tolerance_requested": tol,
+        "tolerance_achieved": 5e-14,  # closed forms; see the majorant tests
+        "columns": dict.fromkeys(_EVAL_COLUMNS, [None]),
+    }
+    # Each column goes where json put its null, as the formatter's text of
+    # a one-column table with json's separators.  It needs no NaN or
+    # Infinity spelling: the closed forms are finite at every finite x.
+    head, *tails = (json.dumps(report, indent=2) + "\n").split("null")
+    with _output(args.output) as fh:
+        fh.write(head.encode("ascii"))
+        for column, tail in zip(columns, tails):
+            sep = b""
+            for text in csv_bytes([column[None]]):
+                fh.write(sep + text[:-1].replace(b"\n", b",\n      "))
+                sep = b",\n      "
+            fh.write(tail.encode("ascii"))
     return 0
 
 

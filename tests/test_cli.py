@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import extremal.fourier as fourier
@@ -105,23 +105,64 @@ class TestEval:
                 4095, 4096, 4097, 8193}),
     )
     def test_csv_spanning_several_row_blocks(self, n, capsys):
+        self.assert_eval_is_whole_grid(capsys, -5.0, 5.0, n)
+
+    @pytest.mark.parametrize(
+        "a, b, n",
+        # The formatter's sparse cases through JSON: the largest double
+        # (whose last step overflows), a subnormal span, an integer grid
+        # across a block seam, and the smallest grid.
+        [(0.0, sys.float_info.max, 73), (0.0, 5e-322, 2 * _ROWS + 1),
+         (-512.0, 513.0, 1026), (0.0, 1.0, 2)],
+    )
+    def test_sparse_grids_are_whole_grid(self, a, b, n, capsys):
+        self.assert_eval_is_whole_grid(capsys, a, b, n)
+
+    @given(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.integers(2, 2 * _ROWS + 2),
+    )
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_eval_is_whole_grid_property(self, capsys, a, b, n):
+        # capsys is safe to share: each run reads and clears what it wrote.
+        assume(a != b)
+        a, b = min(a, b), max(a, b)
+        assume(math.isfinite(b - a))
+        self.assert_eval_is_whole_grid(capsys, a, b, n)
+
+    @staticmethod
+    def assert_eval_is_whole_grid(capsys, a, b, n):
         # CSV and JSON are both evaluated one row block at a time; on either
-        # side of a block boundary each must give the whole grid's table,
-        # the CSV byte for byte.
-        x = np.linspace(-5.0, 5.0, n)
-        names = ["x", "G", "M", "B", "psi", "phi"]
+        # side of a block boundary each must give the whole grid's table
+        # byte for byte: the CSV as repr writes it, the JSON as json.dumps
+        # writes the report with Python float columns.
+        with np.errstate(over="ignore"):
+            x = np.linspace(a, b, n)
+        names = list(cli._EVAL_COLUMNS)
         whole = {name: c.tolist() for name, c in zip(names, (x, *closed_columns(x)))}
-        _, out, _ = run(capsys, "eval", f"--grid=-5:5:{n}")
-        _, js, _ = run(capsys, "eval", f"--grid=-5:5:{n}", "--format", "json")
-        assert json.loads(js)["columns"] == whole
+        report = {
+            "command": "eval",
+            "grid": {"start": a, "stop": b, "steps": n},
+            "tolerance_requested": 1e-8,
+            "tolerance_achieved": 5e-14,
+            "columns": whole,
+        }
+        grid = f"--grid={a!r}:{b!r}:{n}"
+        _, out, _ = run(capsys, "eval", grid)
+        _, js, _ = run(capsys, "eval", grid, "--format", "json")
+        assert js == json.dumps(report, indent=2) + "\n"
         rows = zip(*(whole[name] for name in names))
         expected = [",".join(names)] + [",".join(repr(v) for v in row) for row in rows]
         assert out == "\n".join(expected) + "\n"
 
     def test_csv_to_a_text_only_stream(self, capsys):
         # Reports go to stdout's binary buffer; a stdout without one (an
-        # io.StringIO) gets the same text, for eval's CSV and a JSON report.
+        # io.StringIO) gets the same text, for eval's CSV and JSON and a
+        # JSON report.
         for argv in (["eval", "--grid=-5:5:1500"], ["eval", "--grid", "0:1:3"],
+                     ["eval", "--grid=-5:5:1500", "--format", "json"],
                      ["search", "--mode", "remark", "--n", "6", "--trials", "4"]):
             _, want, _ = run(capsys, *argv)
             stream = io.StringIO()
@@ -145,6 +186,24 @@ class TestEval:
         finally:
             tracemalloc.stop()
         assert peak < 160 * len(cli._EVAL_COLUMNS) * _ROWS + 1_000_000
+
+    def test_json_memory_is_bounded(self, tmp_path):
+        # JSON holds the table as one float64 array, 48 bytes a point, and
+        # formats a block of one column at a time: the peak stays under the
+        # array plus 2 MB, which Python float columns (about 860 bytes a
+        # point) would break.
+        n = 300_001
+        path = str(tmp_path / "t.json")
+        assert main(["eval", "--grid=-50:50:3", "--format", "json", "-o", path]) == 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert main(["eval", f"--grid=-50:50:{n}", "--format", "json",
+                         "-o", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * n + 2_000_000
 
     def test_csv_memory_does_not_grow_with_n(self, tmp_path):
         # CSV output holds no grid: a hundred times the points leaves the
@@ -255,7 +314,7 @@ class TestEval:
         assert code == 2
         assert "format" in err
 
-    def test_out_of_memory_exits_2(self, capsys, monkeypatch):
+    def test_out_of_memory_exits_2(self, capsys, monkeypatch, tmp_path):
         # Stands in for a grid too large to allocate; the grid itself is
         # small, so nothing large is requested.
         def exhausted(x):
@@ -265,6 +324,29 @@ class TestEval:
         code, _, err = run(capsys, "eval", "--grid", "0:1:11")
         assert code == 2
         assert err.startswith("error:") and "745" in err
+
+        # A JSON table too large for memory (436 TiB) is refused at its
+        # allocation, before the file opens.  The child's address-space cap
+        # only keeps a build that fills memory instead from exhausting it.
+        target = tmp_path / "t.json"
+        child = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, resource.RLIM_INFINITY))
+            from extremal.cli import main
+            sys.exit(main())
+        """)
+        src = os.path.dirname(os.path.dirname(hb.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "eval", "--grid=0:1:10000000000000",
+             "--format", "json", "-o", str(target)],
+            env=env, capture_output=True, text=True, timeout=60, check=False,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: out of memory")
+        assert "(6, 10000000000000)" in proc.stderr, proc.stderr
+        assert not target.exists()
 
 
 class TestVerify:
@@ -643,10 +725,10 @@ class TestTopLevel:
     def test_commands_import_nothing(self, tmp_path):
         # The package loads no scipy, no numpy.random (nor OpenSSL's
         # _hashlib behind it) and no numpy.polynomial.  Once it is imported
-        # (with the Filon panels built) verify, hilbert, both search modes
-        # and a JSON eval load no module at all: an import inside a command
-        # adds to its run time.  The CSV formatter loads with the first CSV
-        # eval, the only command that uses it.
+        # (with the Filon panels built) verify, hilbert and both search
+        # modes load no module at all: an import inside a command adds to
+        # its run time.  The float formatter loads with the first eval, CSV
+        # or JSON, the only command that uses it.
         code = textwrap.dedent("""
             import sys
             import extremal
@@ -667,7 +749,8 @@ class TestTopLevel:
                 (["hilbert", "--nodes", sys.argv[2]], []),
                 (["search", "--mode", "constant", "--n", "8", "--trials", "3"], []),
                 (["search", "--mode", "remark", "--n", "4", "--trials", "3"], []),
-                (["eval", "--grid=-2:2:11", "--format", "json"], []),
+                (["eval", "--grid=-2:2:11", "--format", "json"],
+                 ["extremal._float_text"]),
                 (["eval", "--grid=-2:2:11"], ["extremal._float_text"]),
             ):
                 assert cli.main(argv + ["-o", sys.argv[1]]) == 0, argv
