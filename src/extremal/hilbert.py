@@ -49,6 +49,7 @@ import numpy as np
 from ._draws import Draws, box_muller
 from .fourier import psi_beurling_hat, psi_hat
 from .quadrature import ToleranceNotMetError, check_tol
+from .specfun import _finite
 
 __all__ = [
     "NodeSystem",
@@ -83,6 +84,8 @@ _CHUNK = 64
 _BASIS_ROWS = 512
 _CHECK_EVERY = 8
 _EPS = float(np.finfo(float).eps)
+# Products with A one sharp_constant solve may spend.
+_MAX_PRODUCTS = 100_000
 # Kernel entries per chunk of remark trials: about 1 MB per complex array
 # and a 4 MB peak for the whole chunk.
 _KERNEL_ENTRIES = 1 << 16
@@ -127,20 +130,16 @@ class SpectralEstimate:
     witness: np.ndarray = field(repr=False)
 
 
-def _finite(arr, what):
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{what} must be finite")
-    return arr
-
-
 def _separations(lam):
     """Nearest-neighbor separations along the last axis, in the nodes' order;
-    the first gap below 1e-9 of its system's span raises DuplicateNodesError."""
+    the first gap below 1e-9 of its system's span raises DuplicateNodesError,
+    and a span past the largest double ValueError."""
     _finite(lam, "nodes")
     idx = np.argsort(lam, axis=-1, kind="stable")
     lam_sorted = np.take_along_axis(lam, idx, axis=-1)
+    with np.errstate(over="ignore"):
+        span = _finite(lam_sorted[..., -1:] - lam_sorted[..., :1], "node span")
     gaps = lam_sorted[..., 1:] - lam_sorted[..., :-1]
-    span = lam_sorted[..., -1:] - lam_sorted[..., :1]
     bad = (gaps < 1e-9 * span) | (span == 0.0)
     if bad.any():
         *system, i = np.argwhere(bad)[0]
@@ -244,7 +243,7 @@ def _top_ritz(betas):
     return math.sqrt(top), u / np.linalg.norm(u)
 
 
-def sharp_constant(nodes, tol=1e-10, max_iterations=100_000):
+def sharp_constant(nodes, tol=1e-10):
     """Best constant C*(lambda) = sup |Phi(a)| / sum |a_n|^2/delta_n.
 
     C* is the spectral radius mu of the Hermitian iA, A real antisymmetric.
@@ -261,10 +260,10 @@ def sharp_constant(nodes, tol=1e-10, max_iterations=100_000):
     is the Hermitian residual bound |mu - lambda| <= ||(iA) c + mu c|| / ||c||
     (Parlett) from two fresh products, plus a floor n * eps * mu for their
     rounding.  Raises :class:`extremal.quadrature.ToleranceNotMetError` when
-    the solve needs more than ``max_iterations`` products or the bound
-    exceeds ``tol``, carrying the latest ||A v|| / ||v|| as ``value``, the
-    bound as ``err_estimate`` (``inf`` if none was taken) and the products
-    as ``evaluations``: no uncertified value is returned.
+    the solve needs more than ``_MAX_PRODUCTS`` products or the bound is not
+    at most ``tol`` (NaN included), carrying the latest ||A v|| / ||v|| as
+    ``value``, the bound as ``err_estimate`` (``inf`` if none was taken) and
+    the products as ``evaluations``: no uncertified value is returned.
     """
     tol = check_tol(tol, 1e-12)
     n = len(nodes)
@@ -278,8 +277,8 @@ def sharp_constant(nodes, tol=1e-10, max_iterations=100_000):
 
     def product(v):
         nonlocal products, estimate
-        if products >= max_iterations:
-            raise fail(f"no convergence within {max_iterations} iterations")
+        if products >= _MAX_PRODUCTS:
+            raise fail(f"no convergence within {_MAX_PRODUCTS} iterations")
         products += 1
         Av = apply_A(v)
         estimate = math.sqrt(float(Av @ Av) / float(v @ v))
@@ -315,7 +314,7 @@ def sharp_constant(nodes, tol=1e-10, max_iterations=100_000):
     # For c = b - i A b / mu: (iA) c + mu c = (A^2 b + mu^2 b) / mu, ||c|| = sqrt(2).
     residual = (float(np.linalg.norm(product(Ab) + mu * mu * b)) / (mu * math.sqrt(2.0))
                 + n * _EPS * mu)
-    if residual > tol:
+    if not residual <= tol:
         raise fail(f"residual bound {residual:.3g} exceeds tol {tol:.3g}", residual)
 
     return SpectralEstimate(

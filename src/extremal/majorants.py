@@ -40,7 +40,9 @@ from .quadrature import (
     check_tol,
     integrate_adaptive,
 )
-from .specfun import _elementwise, expint_en, si_cin, sinc, trigamma
+from .specfun import (
+    _BERNOULLI, _elementwise, _finite, expint_en, si_cin, sinc, trigamma,
+)
 
 __all__ = [
     "kernel_g",
@@ -235,12 +237,10 @@ _RHO_LEFT = tuple(0.0 if j == 0 else float(j) for j in range(_J_POLY))
 _Q_RIGHT = tuple(float((-1) ** j * (j + 1)) for j in range(_J_POLY))
 # (x-1)^{-2} = sum_j (j+1) x^{-(j+2)}
 _Q_LEFT = tuple(float(j + 1) for j in range(_J_POLY))
-# r(x) = 1/x - trigamma(x+1): asymptotic (Bernoulli) series
-_R_RIGHT = (0.5, -1.0 / 6.0, 0.0, 1.0 / 30.0, 0.0, -1.0 / 42.0,
-            0.0, 1.0 / 30.0, 0.0, -5.0 / 66.0)
-# s(y) = trigamma(y) - 1/y
-_S_LEFT = (0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0,
-           0.0, -1.0 / 30.0, 0.0, 5.0 / 66.0)
+# s(y) = trigamma(y) - 1/y = 1/(2 y^2) + sum_k B_2k y^{-(2k+1)} and
+# r(x) = 1/x - trigamma(x+1), the same with -B_2k, both to B_10.
+_S_LEFT = (0.5,) + tuple(v for p, q in _BERNOULLI[:5] for v in (p / q, 0.0))[:-1]
+_R_RIGHT = (0.5,) + tuple(v for p, q in _BERNOULLI[:5] for v in (-p / q, 0.0))[:-1]
 
 
 def _channels(P, A):
@@ -368,7 +368,7 @@ def tail_transform(kind, X, t, side):
     if not X >= TAIL_CUTOFF:
         raise ValueError(f"tail cutoff must be >= {TAIL_CUTOFF}")
     X = float(X)
-    t = np.asarray(t, dtype=float)
+    t = _finite(np.asarray(t, dtype=float), "t")
     coeffs, t = (right, t) if side == "right" else (left, -t)
     tau = np.stack([t, t - 1.0, t + 1.0], axis=-1)
     orders = np.arange(2, len(coeffs) + 2).reshape((-1,) + (1,) * tau.ndim)
@@ -388,7 +388,7 @@ def tail_transform(kind, X, t, side):
 # Line integrals: the one place that splits an integral into the adaptive
 # window and the closed-form tails.
 
-def line_integral(kind, a, b, tol, max_evals=10_000_000):
+def line_integral(kind, a, b, tol):
     """integral_a^b of g, H, psi or B - sgn, -inf <= a < b <= inf.
 
     The part of [a, b] inside [-T, T], T = TAIL_CUTOFF, is integrated
@@ -397,7 +397,8 @@ def line_integral(kind, a, b, tol, max_evals=10_000_000):
     infinite end.  Returns a :class:`QuadResult` whose estimate sums the
     quadrature and tail bounds.  Raises :class:`ToleranceNotMetError`,
     carrying the value, the estimate and the integrand evaluations, when
-    the evaluation budget runs out or the estimate exceeds ``tol``, and
+    the quadrature's evaluation budget ``quadrature._MAX_EVALS`` runs out
+    or the estimate exceeds ``tol``, and
     ``ValueError`` for a ``tol`` that is NaN or below the least subnormal.
     """
     tol = check_tol(tol, math.ulp(0.0))
@@ -410,7 +411,7 @@ def line_integral(kind, a, b, tol, max_evals=10_000_000):
     quad = QuadResult(0.0, 0.0, 0)
     if lo < hi:
         try:
-            quad = integrate_adaptive(closed, lo, hi, 0.5 * tol, max_evals)
+            quad = integrate_adaptive(closed, lo, hi, 0.5 * tol)
         except ToleranceNotMetError as exc:
             quad = exhausted = exc
     value, est = quad.value, quad.err_estimate

@@ -8,7 +8,7 @@ Every certified routine of the package (this quadrature, the line
 integrals built on it, the Filon transform, the sharp-constant solve)
 checks its ``tol`` range through :func:`check_tol` and refuses through
 :class:`ToleranceNotMetError` when it cannot meet ``tol`` within its
-budget.
+budget, a module constant (here ``_MAX_EVALS``), not a parameter.
 """
 
 from __future__ import annotations
@@ -75,6 +75,8 @@ _LEAST_POSITIVE = math.ulp(0.0)
 # window [-64, 64] would already meet every admissible tol, so the cost
 # would not follow tol; at 4 the refinement sets it.
 _PANEL_WIDTH = 4.0
+# Integrand evaluations one call may spend.
+_MAX_EVALS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,7 @@ def _kronrod(f, left, right):
     return k15, np.abs(k15 - half * (fx @ _W_G))
 
 
-def integrate_adaptive(f, a, b, tol=1e-10, max_evals=10_000_000):
+def integrate_adaptive(f, a, b, tol=1e-10):
     """Adaptive G7/K15 integration of a vectorized ``f`` over [a, b].
 
     The initial mesh has panels of width at most 4.  Panels whose
@@ -135,8 +137,9 @@ def integrate_adaptive(f, a, b, tol=1e-10, max_evals=10_000_000):
     evaluated together, so ``f`` must accept an ndarray.  The result is
     deterministic (fixed node order, correctly rounded final summation).
 
-    Raises :class:`ToleranceNotMetError` once more than ``max_evals``
-    integrand evaluations would be needed, carrying the best estimate.
+    Raises :class:`ToleranceNotMetError` once more than ``_MAX_EVALS``
+    integrand evaluations would be needed, carrying the best estimate; if
+    the first mesh alone would need more, at once with (NaN, inf, 0).
     """
     a = float(a)
     b = float(b)
@@ -146,12 +149,16 @@ def integrate_adaptive(f, a, b, tol=1e-10, max_evals=10_000_000):
     if b == a:
         return QuadResult(0.0, 0.0, 0)
     if b < a:
-        res = integrate_adaptive(f, b, a, tol=tol, max_evals=max_evals)
+        res = integrate_adaptive(f, b, a, tol=tol)
         return QuadResult(-res.value, res.err_estimate, res.evaluations)
 
     span = b - a
-    n0 = max(1, int(math.ceil(span / _PANEL_WIDTH)))
-    edges = np.linspace(a, b, n0 + 1)
+    # Counted in floats, so that a span past the largest double is inf panels.
+    panels = max(1.0, np.ceil(span / _PANEL_WIDTH))
+    if 15.0 * panels > _MAX_EVALS:
+        message = f"first mesh on [{a}, {b}] exceeds evaluation budget {_MAX_EVALS}"
+        raise ToleranceNotMetError(message, math.nan, math.inf, 0)
+    edges = np.linspace(a, b, int(panels) + 1)
     left = edges[:-1]
     right = edges[1:]
 
@@ -160,23 +167,12 @@ def integrate_adaptive(f, a, b, tol=1e-10, max_evals=10_000_000):
     k15_done, err_done = [], []
     evaluations = 0
     min_width = 1e-14 * max(abs(a), abs(b), 1.0)
-    # k15 and err of the regions still pending, as their parents gave them
-    # in the previous generation, so a budget stop can report an estimate
-    # without spending further evaluations.
-    pending = None
 
     while left.size:
         cost = 15 * left.size
-        if evaluations + cost > max_evals:
-            if pending is None:
-                # Budget cannot even cover the initial mesh: take one coarse
-                # pass over however many equal panels still fit.
-                k = max(1, min(max_evals, 10_000 * 15) // 15)
-                edges = np.linspace(a, b, k + 1)
-                pending = _kronrod(f, edges[:-1], edges[1:])
-                evaluations += 15 * k
+        if evaluations + cost > _MAX_EVALS:
             raise ToleranceNotMetError(
-                f"evaluation budget {max_evals} exhausted on [{a}, {b}]",
+                f"evaluation budget {_MAX_EVALS} exhausted on [{a}, {b}]",
                 math.fsum(np.concatenate(k15_done + [pending[0]])),
                 math.fsum(np.concatenate(err_done + [pending[1]])),
                 evaluations,
@@ -190,6 +186,8 @@ def integrate_adaptive(f, a, b, tol=1e-10, max_evals=10_000_000):
         err_done.append(err[accept])
 
         keep = ~accept
+        # The pending regions as their parents estimated them: a budget stop
+        # reports these without spending further evaluations.
         pending = k15[keep], err[keep]
         l_k = left[keep]
         r_k = right[keep]

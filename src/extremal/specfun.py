@@ -21,15 +21,10 @@ __all__ = ["sinc", "trigamma", "si_cin", "expint_en"]
 
 EULER_GAMMA = 0.5772156649015329
 
-# Bernoulli numbers B_2, B_4, ..., B_12 for the trigamma asymptotic series.
-_BERNOULLI_EVEN = (
-    1.0 / 6.0,
-    -1.0 / 30.0,
-    1.0 / 42.0,
-    -1.0 / 30.0,
-    5.0 / 66.0,
-    -691.0 / 2730.0,
-)
+# Bernoulli numbers B_2, B_4, ..., B_14 as (numerator, denominator), the one
+# table behind every Bernoulli series of the package: integer true division
+# rounds each coefficient derived from it correctly.
+_BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6))
 
 _SINC_TAYLOR_CUT = 1e-4
 
@@ -53,6 +48,13 @@ def _elementwise(fn):
         return out.reshape(arr.shape) if arr.ndim else out.item()
 
     return wrapper
+
+
+def _finite(arr, what):
+    """``arr``, or ValueError naming ``what`` unless every entry is finite."""
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} must be finite")
+    return arr
 
 
 @_elementwise
@@ -109,8 +111,8 @@ def trigamma(x):
     inv2 = inv * inv
     tail = np.zeros_like(work)
     power = inv * inv2  # y^{-3}
-    for b in _BERNOULLI_EVEN:
-        tail += b * power
+    for p, q in _BERNOULLI[:6]:  # B_2, ..., B_12
+        tail += p / q * power
         power *= inv2
 
     return acc + inv + 0.5 * inv2 + tail

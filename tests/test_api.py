@@ -85,6 +85,19 @@ def test_public_functions_have_callers():
     assert uncalled == []
 
 
+def test_public_functions_take_no_budget():
+    # A certified routine takes a tolerance; its evaluation or product
+    # budget is a module constant, not a ``max_...`` parameter.
+    budgets = [
+        f"{name}({param})"
+        for name in extremal.__all__
+        if inspect.isfunction(getattr(extremal, name))
+        for param in inspect.signature(getattr(extremal, name)).parameters
+        if param.startswith("max_")
+    ]
+    assert budgets == []
+
+
 # The closed forms of one argument, each behind specfun._elementwise, with
 # their parameter names and the length of their tuple result (None for a
 # single array).

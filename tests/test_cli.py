@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import csv
-import functools
 import io
 import json
 import math
@@ -21,6 +20,7 @@ from hypothesis import strategies as st
 
 import extremal.fourier as fourier
 import extremal.hilbert as hb
+import extremal.quadrature as quadrature
 import extremal.cli as cli
 from extremal._float_text import _ROWS
 from extremal.cli import main
@@ -551,6 +551,15 @@ class TestHilbert:
         assert code == 2
         assert "too close" in err
 
+    def test_overflowing_node_span_exit_2(self, tmp_path, capsys):
+        # The separations of +-1e308 overflow; no report of infinite
+        # deltas and a NaN constant is printed.
+        nodes = self.write_nodes(tmp_path, "-1e308\n1e308\n")
+        code, out, err = run(capsys, "hilbert", "--nodes", nodes)
+        assert code == 2
+        assert out == ""
+        assert "node span must be finite" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "hilbert", "--nodes", "/nonexistent/nodes.txt")
         assert code == 2
@@ -665,11 +674,7 @@ class TestTopLevel:
         # budget too small for its tol; every refusal is exit 3.
         if site == "integrate_adaptive":
             # verify's first integral on an 800-evaluation budget.
-            integral = cli.line_integral
-            monkeypatch.setattr(
-                cli, "line_integral",
-                lambda kind, a, b, tol: integral(kind, a, b, tol, max_evals=800),
-            )
+            monkeypatch.setattr(quadrature, "_MAX_EVALS", 800)
             argv, message = ["verify"], "quadrature budget exhausted"
         elif site == "numeric_ft":
             # verify's band checks, with a Filon estimate far above tol.
@@ -683,10 +688,7 @@ class TestTopLevel:
             argv, message = ["verify"], "fixed Filon scheme"
         else:
             # Three products with A cannot converge at N = 64.
-            monkeypatch.setattr(
-                hb, "sharp_constant",
-                functools.partial(hb.sharp_constant, max_iterations=3),
-            )
+            monkeypatch.setattr(hb, "_MAX_PRODUCTS", 3)
             nodes = tmp_path / "nodes.txt"
             nodes.write_text("".join(f"{k}.0\n" for k in range(1, 65)))
             argv, message = ["hilbert", "--nodes", str(nodes)], "no convergence"

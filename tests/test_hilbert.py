@@ -159,6 +159,13 @@ class TestComputeDeltas:
         with pytest.raises(ValueError):
             compute_deltas([0.0, math.inf])
 
+    @pytest.mark.parametrize("lam", [[-1e308, 1e308], [-1e308, 0.0, 1e308]])
+    def test_overflowing_span_rejected(self, lam):
+        # Finite nodes whose separations would be infinite; three nodes
+        # must not read as a duplicate pair either.
+        with pytest.raises(ValueError, match="node span must be finite"):
+            compute_deltas(lam)
+
     def test_frozen_arrays(self):
         ns = compute_deltas([0.0, 1.0])
         with pytest.raises(ValueError):
@@ -329,14 +336,23 @@ class TestSharpConstant:
         with pytest.raises(ValueError):
             sharp_constant(compute_deltas([0.0, 1.0]), tol=math.nan)
 
-    def test_max_iteration_error(self):
+    def test_max_iteration_error(self, monkeypatch):
+        monkeypatch.setattr(hb, "_MAX_PRODUCTS", 3)
         ns = compute_deltas(np.arange(1.0, 65.0))
         with pytest.raises(ToleranceNotMetError) as info:
-            sharp_constant(ns, tol=1e-12, max_iterations=3)
+            sharp_constant(ns, tol=1e-12)
         err = info.value
         assert err.evaluations == 3
         assert 0.0 < err.value < math.pi
         assert err.err_estimate == math.inf
+
+    def test_nan_residual_refused(self):
+        # A system compute_deltas would reject, built directly: its solve
+        # runs on infinite separations, and a NaN residual is not <= tol.
+        ns = NodeSystem(np.array([-1e308, 1e308]), np.full(2, math.inf),
+                        np.arange(2))
+        with np.errstate(all="ignore"), pytest.raises(ToleranceNotMetError):
+            sharp_constant(ns)
 
     def test_deterministic(self):
         ns = compute_deltas(np.arange(1.0, 20.0))

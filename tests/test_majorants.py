@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremal import majorants
+from extremal import majorants, quadrature
 from extremal.fourier import numeric_ft
 from extremal.majorants import (
     G_closed,
@@ -67,9 +67,9 @@ def G_reference(x, mpmath):
             - x1 * sinc2 + mpmath.si(tp * x1) / mpmath.pi)
 
 
-def G_quadrature(x, tol, max_evals=10_000_000):
+def G_quadrature(x, tol):
     """G(x) by the second route, the quadrature of g over (-inf, x]."""
-    return line_integral("g", -math.inf, x, tol, max_evals).value
+    return line_integral("g", -math.inf, x, tol).value
 
 
 def phi_closed(x):
@@ -245,9 +245,10 @@ class TestEvalG:
         cheap, tight = evaluations
         assert cheap < tight
 
-    def test_budget_failure_reported(self):
+    def test_budget_failure_reported(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", 200)
         with pytest.raises(ToleranceNotMetError):
-            G_quadrature(0.0, 1e-12, max_evals=200)
+            G_quadrature(0.0, 1e-12)
 
 
 T = TAIL_CUTOFF
@@ -284,6 +285,12 @@ class TestLineIntegral:
             line_integral("h", 0.0, 1.0, 1e-8)
         with pytest.raises(ValueError, match="unknown kind 'h'"):
             tail_transform("h", T, 0.0, "right")
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan, [0.5, math.inf]])
+    def test_tail_transform_rejects_nonfinite_t(self, t):
+        # As numeric_ft does: an infinite frequency has no tail value.
+        with pytest.raises(ValueError, match="t must be finite"):
+            tail_transform("g", T, t, "right")
 
     def test_every_kind_resolves_in_one_table(self):
         # The integral over the line of each kind; h has no tail series.

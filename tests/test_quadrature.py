@@ -1,13 +1,14 @@
 """Adaptive Gauss-Kronrod integration and exponential-integral tail channels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremal import majorants
+from extremal import majorants, quadrature
 from extremal.majorants import TAIL_CUTOFF, tail_transform
 from extremal.quadrature import (
     QuadResult,
@@ -74,13 +75,44 @@ class TestIntegrateAdaptive:
         b = integrate_adaptive(f, 0.0, 20.0, 1e-10)
         assert a.value == b.value and a.evaluations == b.evaluations
 
-    def test_budget_error_payload(self):
+    def test_budget_error_payload(self, monkeypatch):
+        # The first mesh of [0, 1000] costs 3750 evaluations: on a budget
+        # of 600 it is refused before any evaluation, with no estimate.
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", 600)
         with pytest.raises(ToleranceNotMetError) as info:
-            integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 1000.0, 1e-13, max_evals=600)
+            integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 1000.0, 1e-13)
         err = info.value
-        assert err.evaluations <= 600 + 15
+        assert math.isnan(err.value)
+        assert err.err_estimate == math.inf
+        assert err.evaluations == 0
+
+    def test_budget_error_payload_after_first_mesh(self, monkeypatch):
+        # A budget that pays for the first mesh but not for its refinement
+        # stops with the estimate reached, within the budget.
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", 6000)
+        with pytest.raises(ToleranceNotMetError) as info:
+            integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 1000.0, 1e-13)
+        err = info.value
+        assert 3750 <= err.evaluations <= 6000
         assert math.isfinite(err.value)
-        assert err.err_estimate > 0.0
+        assert err.err_estimate > 1e-13
+
+    @pytest.mark.parametrize("a,b", [(0.0, 4e7), (-1e300, 1e300), (-1.7e308, 1.7e308)])
+    def test_first_mesh_over_budget_refused_at_once(self, a, b):
+        # Spans whose first mesh the default budget cannot pay for, the last
+        # one past the largest double: no mesh is built.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ToleranceNotMetError) as info:
+                integrate_adaptive(lambda x: np.exp(-x * x), a, b, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = info.value
+        assert math.isnan(err.value)
+        assert err.err_estimate == math.inf
+        assert err.evaluations == 0
+        assert peak < 1 << 20
 
     def test_reversed_endpoints_flip_sign(self):
         fwd = integrate_adaptive(lambda x: x**2, 0.0, 2.0, 1e-10)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremal import specfun
+from extremal import fourier, majorants, specfun
 from extremal.specfun import EULER_GAMMA, expint_en, si_cin, sinc, trigamma
 
 # mpmath polygamma(1, x) at 50 digits.
@@ -148,6 +148,34 @@ class TestTrigamma:
     def test_domain_errors(self, bad):
         with pytest.raises(ValueError):
             trigamma(bad)
+
+
+# The Bernoulli-based coefficients as literals, each a correctly rounded
+# quotient; those derived from specfun._BERNOULLI must hold these bits, the
+# zeros +0.0 included.  trigamma sums p / q for B_2, ..., B_12.
+BERNOULLI_LITERALS = {
+    "trigamma": (
+        tuple(p / q for p, q in specfun._BERNOULLI[:6]),
+        (1.0 / 6.0, -1.0 / 30.0, 1.0 / 42.0, -1.0 / 30.0, 5.0 / 66.0, -691.0 / 2730.0)),
+    "_R_RIGHT": (
+        majorants._R_RIGHT,
+        (0.5, -1.0 / 6.0, 0.0, 1.0 / 30.0, 0.0, -1.0 / 42.0,
+         0.0, 1.0 / 30.0, 0.0, -5.0 / 66.0)),
+    "_S_LEFT": (
+        majorants._S_LEFT,
+        (0.5, 1.0 / 6.0, 0.0, -1.0 / 30.0, 0.0, 1.0 / 42.0,
+         0.0, -1.0 / 30.0, 0.0, 5.0 / 66.0)),
+    "_COT_SERIES": (
+        fourier._COT_SERIES,
+        (-1 / 3, -1 / 45, -2 / 945, -1 / 4725, -2 / 93555,
+         -1382 / 638512875, -4 / 18243225)),
+}
+
+
+@pytest.mark.parametrize("name", BERNOULLI_LITERALS)
+def test_bernoulli_tables_bit_for_bit(name):
+    derived, literal = BERNOULLI_LITERALS[name]
+    assert np.array(derived).tobytes() == np.array(literal).tobytes()
 
 
 def sici_sweep():
