@@ -39,7 +39,6 @@ as integers or zeros, up to 225).  A value of eval's columns costs about
 
 from __future__ import annotations
 
-import functools
 import math
 import types
 
@@ -81,10 +80,8 @@ def _word(text, at=0):
     return int.from_bytes(bytes(at) + text.encode("ascii"), "little")
 
 
-@functools.cache
 def _tables():
-    """The lookup tables, built on first use, so that a command which formats
-    no float goes without their 0.45 MB and 2 ms.
+    """The lookup tables, built once at import as ``_TABLES`` (0.45 MB).
 
     By biased exponent: ``limbs[k]``, limb k (32 bits, low first) of Ryū's
     multiplier, which is ``floor(2**k / 5**q) + 1`` where ``e2 >= 0`` and
@@ -209,6 +206,9 @@ def _layout():
     return dict(cls=cls, expsep=expsep, prefix=prefix, sel=sel)
 
 
+_TABLES = _tables()
+
+
 def _workspace(columns):
     """One block's arrays: the values and nine uint64 rows that the steps
     take in turn; flags; and the text, a 32-byte slot per value, whose
@@ -229,7 +229,7 @@ def _ndigits(x, out, f, p):
     with the uint64 rows ``f`` and ``p`` as scratch."""
     np.copyto(f.view(np.float64), x, casting="unsafe")
     f >>= _MANT_BITS  # the biased exponent of 2**k <= x (2**(k+1) if rounded)
-    _tables().ndig.take(f.view(np.int64), out=out, mode="clip")
+    _TABLES.ndig.take(f.view(np.int64), out=out, mode="clip")
     _POW10.take(out, out=p, mode="clip")
     np.greater_equal(x, p, out=f)
     out += f.view(np.int64)
@@ -237,7 +237,7 @@ def _ndigits(x, out, f, p):
 
 def _trailing_zeros(t):
     """Trailing decimal zeros of each ``t`` (a few values), up to 20."""
-    tz4 = _tables().tz4
+    tz4 = _TABLES.tz4
     zeros = tz4[t % _POW10[4]]
     idx = _nonzero(zeros == 4)  # rare: look past the last four
     rest = t[idx]
@@ -256,7 +256,7 @@ def _shortest(bits, w):
     patterns are ``bits``, into rows ``w.trows[3]`` (out) and ``w.rows[7]``
     (decpt, int64): ``out * 10**(decpt - _DOFF)`` is the value ``repr``
     prints, with ``out < 10**17``.  Every other row is scratch."""
-    tables, (mv, vr, vp, vm, a0, a1, p, dec, e) = _tables(), w.rows
+    tables, (mv, vr, vp, vm, a0, a1, p, dec, e) = _TABLES, w.rows
     s, col, hp, out = w.trows
     e, m = e.view(np.int64), (out, dec)
     vr_exact, vm_exact, cond, flag = w.flags
@@ -405,7 +405,7 @@ def _shortest(bits, w):
 def _fields(w, count):
     """The bytes of ``repr(float(v)) + sep`` for the first ``count`` values
     of ``w.vals`` and their separators, concatenated."""
-    tables, bits = _tables(), w.vals.view(np.uint64)
+    tables, bits = _TABLES, w.vals.view(np.uint64)
     rows = w.rows.view(np.int64)
     n, L, H, decpt, key = rows[0], w.rows[1:4], w.rows[4:7], rows[7], rows[8]
     T, out = w.trows[:3], w.trows[3]

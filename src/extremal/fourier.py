@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from .majorants import _KINDS, TAIL_CUTOFF, tail_transform
-from .quadrature import ToleranceNotMetError, check_tol
+from .quadrature import ToleranceNotMetError
 from .specfun import _BERNOULLI, _elementwise, _finite, _horner, sinc
 
 __all__ = [
@@ -116,6 +116,7 @@ def psi_beurling_hat(t):
 
 _FT_PANEL = 0.25
 _FT_DEGREE = 10  # Chebyshev interpolation degree per panel
+_FT_TOL = 1e-7  # numeric_ft refuses a frequency whose estimate exceeds it
 
 # The kinds with a transform; H is integrated, not transformed.
 _FT_KERNELS = {kind: _KINDS[kind].closed for kind in ("g", "psi", "psi_beurling")}
@@ -147,7 +148,10 @@ _EDGES = np.arange(-TAIL_CUTOFF, TAIL_CUTOFF + 0.5 * _FT_PANEL, _FT_PANEL)
 _CENTERS = 0.5 * (_EDGES[:-1] + _EDGES[1:])
 
 # Frequencies per block of a transform, and panels per block of the kernel
-# evaluations: bounds the working set at ~3 MB for any input size.
+# evaluations: bounds the working set at ~3 MB for any input size.  The
+# panels keep this loop of their own, 1,408 points a call: the 500 KB bound of
+# test_transform_memory_is_small needs blocks that small, and a
+# specfun._BLOCK that small would split eval's 3,072-point si_cin call.
 _FT_BLOCK = 128
 
 
@@ -156,9 +160,6 @@ def _panel_data(kind):
     the number of kernel evaluations."""
     f = _FT_KERNELS[kind]
     half = 0.5 * _FT_PANEL
-    # The kernels are elementwise, so _FT_BLOCK panels (1,408 points) at a
-    # time give the same values as one call, with a quarter of its
-    # temporaries.
     vals = np.empty((_CENTERS.size, _CHEB_NODES.size))
     for start in range(0, _CENTERS.size, _FT_BLOCK):
         xs = _CENTERS[start : start + _FT_BLOCK, None] + half * _CHEB_NODES
@@ -235,18 +236,17 @@ def _filon_central(kind, t):
     return value, est, n_evals
 
 
-def numeric_ft(function_kind, t, tol=1e-7):
+def numeric_ft(function_kind, t):
     """Oscillatory-quadrature Fourier transform of g, psi or psi_beurling.
 
     Filon panels on [-64, 64] plus closed-form channel tails.  ``t`` may
     be a scalar (returns a Python ``complex``) or an array of frequencies
     (returns a complex array of the same shape); every entry must be
-    finite.  Raises :class:`extremal.quadrature.ToleranceNotMetError` if the
-    fixed scheme cannot certify ``tol`` at some frequency, carrying the
-    values, the largest estimate and the kernel evaluations.  The scheme's
-    estimate is 2e-11 to 1.2e-10, nearly all of it Filon interpolation (the
-    tails add below 1e-15), so every admissible ``tol`` (``>= 1e-8``) is
-    met.
+    finite.  The scheme is fixed, so it takes no ``tol``: its estimate is
+    2e-11 to 1.2e-10, nearly all of it Filon interpolation (the tails add
+    below 1e-15).  Raises :class:`extremal.quadrature.ToleranceNotMetError`
+    if the estimate at some frequency exceeds ``_FT_TOL``, carrying the
+    values, the largest estimate and the kernel evaluations.
     """
     if function_kind not in _FT_KERNELS:
         raise ValueError(
@@ -254,16 +254,14 @@ def numeric_ft(function_kind, t, tol=1e-7):
             f"expected one of {tuple(_FT_KERNELS)}"
         )
     arr = _finite(np.asarray(t, dtype=float), "t")
-    tol = check_tol(tol, 1e-8)
-
     central, est, n_evals = _filon_central(function_kind, arr)
     right, err_r = tail_transform(function_kind, TAIL_CUTOFF, arr, "right")
     left, err_l = tail_transform(function_kind, TAIL_CUTOFF, arr, "left")
     value = central + right + left
     est_total = float(np.max(est + err_r + err_l + 1e-15 * np.abs(value), initial=0.0))
-    if est_total > tol:
+    if est_total > _FT_TOL:
         raise ToleranceNotMetError(
-            f"fixed Filon scheme achieves {est_total:g} > requested {tol:g}",
+            f"fixed Filon scheme achieves {est_total:g} > {_FT_TOL:g}",
             value, est_total, n_evals,
         )
     return value

@@ -278,7 +278,7 @@ def sharp_constant(nodes, tol=1e-10):
     def product(v):
         nonlocal products, estimate
         if products >= _MAX_PRODUCTS:
-            raise fail(f"no convergence within {_MAX_PRODUCTS} iterations")
+            raise fail(f"no convergence within {_MAX_PRODUCTS} products")
         products += 1
         Av = apply_A(v)
         estimate = math.sqrt(float(Av @ Av) / float(v @ v))

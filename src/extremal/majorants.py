@@ -357,16 +357,16 @@ def tail_transform(kind, X, t, side):
     ``expint_en`` call; the left tail is the mirrored series at -t.  Returns
     ``(value, err_bound)`` with the bound covering series truncation (for
     psi, the by-parts remainder as well) and the E_n evaluation accuracy.
-    Requires ``X >= TAIL_CUTOFF`` so the inverse-power envelopes have
-    converged to the quoted truncation bound.
+    Requires a finite ``X >= TAIL_CUTOFF`` so the inverse-power envelopes
+    have converged to the quoted truncation bound.
     An array ``t`` gives arrays of its shape for both; a scalar ``t`` gives
     a Python ``complex`` and ``float``.
     """
     _, right, left, div, trunc = _kind(kind)
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    if not X >= TAIL_CUTOFF:
-        raise ValueError(f"tail cutoff must be >= {TAIL_CUTOFF}")
+    if not TAIL_CUTOFF <= X < math.inf:
+        raise ValueError(f"tail cutoff must be finite and >= {TAIL_CUTOFF}")
     X = float(X)
     t = _finite(np.asarray(t, dtype=float), "t")
     coeffs, t = (right, t) if side == "right" else (left, -t)

@@ -4,11 +4,11 @@ The central tool is :func:`integrate_adaptive`, a deterministic bisection
 scheme built on the 7-point Gauss / 15-point Kronrod pair, vectorized so
 that every pending panel is evaluated in one call to the integrand.
 
-Every certified routine of the package (this quadrature, the line
-integrals built on it, the Filon transform, the sharp-constant solve)
-checks its ``tol`` range through :func:`check_tol` and refuses through
-:class:`ToleranceNotMetError` when it cannot meet ``tol`` within its
-budget, a module constant (here ``_MAX_EVALS``), not a parameter.
+Every certified routine of the package that takes a ``tol`` (this
+quadrature, the line integrals built on it, the sharp-constant solve)
+checks its range through :func:`check_tol`.  Each of them, and the fixed
+Filon transform, refuses through :class:`ToleranceNotMetError`; budgets
+(here ``_MAX_EVALS``) and the Filon tolerance are module constants.
 """
 
 from __future__ import annotations

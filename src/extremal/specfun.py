@@ -7,7 +7,7 @@ the entire cosine integral, behind the closed form of G) and ``expint_en``
 (the exponential integral E_n in the closed right half-plane, behind the
 tail channels, and the only place the package evaluates it).  They need
 numpy alone.  :func:`_elementwise` is the one home of the scalar/array rule
-of every closed form of one argument in the package.
+and the block rule of every closed form of one argument in the package.
 """
 
 from __future__ import annotations
@@ -28,10 +28,15 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
 
 _SINC_TAYLOR_CUT = 1e-4
 
+# Points per block of a closed form: the work arrays of a block stay in cache,
+# which bounds the working set and runs faster than whole-array passes.
+_BLOCK = 8192
+
 
 def _elementwise(fn):
     """Decorator: ``fn`` gets its first argument, positional or by keyword,
-    as a flat float64 array.  Each array it returns, alone or in a tuple,
+    as flat float64 blocks of at most ``_BLOCK`` points (it is elementwise,
+    so no bit depends on them).  Each array it returns, alone or in a tuple,
     takes the input's shape, or is a Python ``float`` or ``complex`` for a
     scalar input (a Python or numpy scalar, or a 0-d array).
     """
@@ -42,10 +47,19 @@ def _elementwise(fn):
         if first in kwargs:
             args = (kwargs.pop(first), *args)
         arr = np.asarray(args[0], dtype=float)
-        out = fn(arr.reshape(-1), *args[1:], **kwargs)
-        if isinstance(out, tuple):
-            return tuple(v.reshape(arr.shape) if arr.ndim else v.item() for v in out)
-        return out.reshape(arr.shape) if arr.ndim else out.item()
+        flat = arr.reshape(-1)
+        out = fn(flat[:_BLOCK], *args[1:], **kwargs)
+        single = not isinstance(out, tuple)
+        parts = (out,) if single else out
+        if flat.size > _BLOCK:
+            parts = tuple(np.empty(flat.shape, v.dtype) for v in parts)
+            for start in range(0, flat.size, _BLOCK):
+                if start:
+                    out = fn(flat[start : start + _BLOCK], *args[1:], **kwargs)
+                for w, v in zip(parts, (out,) if single else out):
+                    w[start : start + _BLOCK] = v
+        parts = tuple(v.reshape(arr.shape) if arr.ndim else v.item() for v in parts)
+        return parts[0] if single else parts
 
     return wrapper
 
@@ -187,11 +201,6 @@ def _horner(coeffs, u):
     return acc
 
 
-# Points per block of si_cin: the dozen work arrays of a block stay in cache,
-# which bounds the working set and runs faster than whole-array passes.
-_SICI_BLOCK = 8192
-
-
 @_elementwise
 def si_cin(x):
     """Sine integral Si(x) and entire cosine integral Cin(x) for real x.
@@ -200,18 +209,9 @@ def si_cin(x):
     even and Si is odd.  Returns the pair ``(Si, Cin)``.  Against mpmath both
     are within 1e-15 absolute on |x| <= 4; beyond, Si is within an ulp of
     pi/2 and Cin within the rounding of gamma + log|x|, and neither is
-    further off than scipy's ``sici`` (tests/test_specfun.py).
+    further off than scipy's ``sici`` (tests/test_specfun.py).  Its dozen
+    work arrays hold one block of ``_elementwise`` at a time.
     """
-    si = np.empty_like(x)
-    cin = np.empty_like(x)
-    for start in range(0, x.size, _SICI_BLOCK):
-        block = slice(start, start + _SICI_BLOCK)
-        si[block], cin[block] = _si_cin_block(x[block])
-    return si, cin
-
-
-def _si_cin_block(x):
-    """si_cin on a 1-d array."""
     z = np.abs(x)
     # The f, g route on every point, with |x| < 4 clamped to 4 so that it
     # stays finite there; the series then overwrites those points.

@@ -5,6 +5,7 @@ import functools
 import inspect
 import pathlib
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,3 +158,34 @@ def test_elementwise_convention(fn, params, count):
         assert out == tuple(v[0] for v in _results(fn(np.array([0.3])), count))
     assert _results(fn(**{params[0]: 0.3}), count) == out
     assert all(v.shape == (2,) for v in _results(fn([0.3, 0.7]), count))
+    # Past specfun._BLOCK points the input goes through fn a block at a
+    # time: bit for bit, dtype and order of a tuple included, the results
+    # of calls on 1,000-point slices.
+    long = np.linspace(0.1, 40.0, 2 * specfun._BLOCK + 3)
+    pieces = [_results(fn(long[i : i + 1000]), count)
+              for i in range(0, long.size, 1000)]
+    for k, value in enumerate(_results(fn(long), count)):
+        want = np.concatenate([piece[k] for piece in pieces])
+        assert value.dtype == want.dtype
+        assert value.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [majorants.closed_columns, majorants.psi_closed, majorants.beurling_b,
+     fourier.psi_hat],
+    ids=lambda fn: fn.__name__,
+)
+def test_closed_form_memory_is_bounded(fn):
+    # The blocks bound a closed form's temporaries: on 200,000 points it
+    # traces at most its outputs plus 4 MB.
+    x = np.linspace(-1e4, 1e4, 200_000)
+    fn(x[:10])  # anything loaded on first use
+    tracemalloc.start()
+    try:
+        out = fn(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    outputs = sum(v.nbytes for v in (out if isinstance(out, tuple) else (out,)))
+    assert peak <= outputs + 4_000_000

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from extremal._float_text import _ROWS, _tables, csv_bytes
+from extremal._float_text import _ROWS, _TABLES, csv_bytes
 
 
 def assert_repr(values):
@@ -119,7 +119,7 @@ def test_memory_does_not_grow_with_the_blocks():
     # Past the first block every block is computed in the same workspace:
     # three times the blocks peak within one text of the same memory.
     values = np.random.default_rng(13).standard_normal(3 * 8 * _ROWS)
-    list(csv_bytes([[values[:_ROWS]]]))  # builds the lookup tables
+    list(csv_bytes([[values[:_ROWS]]]))  # anything loaded on first use
 
     def peak(blocks):
         tracemalloc.start()
@@ -137,7 +137,7 @@ def test_digit_removal_tables_are_exact():
     # The float64 shortcut that builds the count of digits that the
     # rounding interval frees gives, for every exponent, the count from the
     # exact 125-bit multiplier.
-    tables = _tables()
+    tables = _TABLES
     for e in range(2047):
         mult = sum(int(tables.limbs[k][e]) << (32 * k) for k in range(4))
         shift = int(tables.shift[e]) + 96

@@ -212,18 +212,20 @@ class TestNumericFT:
 
     @pytest.mark.parametrize("tol", [1e-8, 1e-7])
     @pytest.mark.parametrize("t", [-1e-11, 1e-11, 1e-10, 1e-9, 1e-8])
-    def test_psi_tiny_frequency_bound_honest(self, t, tol):
-        # Whatever comes back near t = 0, value or refusal, its reported
-        # accuracy must cover the true error.
+    def test_psi_tiny_frequency_bound_honest(self, t, tol, monkeypatch):
+        # Whatever comes back near t = 0, value or refusal against the
+        # module's tolerance, its reported accuracy must cover the true
+        # error, and a value is within the tightest tolerance 1e-8.
+        monkeypatch.setattr(fourier, "_FT_TOL", tol)
         try:
-            value = numeric_ft("psi", t, tol=tol)
+            value = numeric_ft("psi", t)
         except ToleranceNotMetError as exc:
             assert exc.err_estimate >= abs(exc.value - psi_hat(t))
         else:
-            assert abs(value - psi_hat(t)) <= tol
+            assert abs(value - psi_hat(t)) <= 1e-8
 
     def test_refusal_payload(self, monkeypatch):
-        # A Filon estimate above tol is refused with the values, the
+        # A Filon estimate above _FT_TOL is refused with the values, the
         # estimate and the kernel evaluations behind them.
         panel_data = fourier._panel_data
 
@@ -231,21 +233,21 @@ class TestNumericFT:
             mono, _, evaluations = panel_data(kind)
             return mono, 1e-3, evaluations
 
-        monkeypatch.setattr(fourier, "_panel_data", coarse)
         t = np.array([0.3, 2.0])
+        want = numeric_ft("g", t)
+        monkeypatch.setattr(fourier, "_panel_data", coarse)
         with pytest.raises(ToleranceNotMetError) as info:
             numeric_ft("g", t)
         err = info.value
-        assert np.array_equal(err.value, numeric_ft("g", t, tol=1e-2))
+        assert np.array_equal(err.value, want)
         assert err.err_estimate > 1e-3
         assert err.evaluations == 5632  # 512 panels of 11 Chebyshev nodes
 
     def test_psi_small_frequencies_meet_tight_tol(self):
-        # The tightest tol holds down to t = 0 instead of being refused.
+        # The tightest tolerance, 1e-8, holds down to t = 0.
         t = np.geomspace(1e-12, 1e-6, 61)
         for ts in (t, -t):
-            value = numeric_ft("psi", ts, tol=1e-8)
-            assert np.all(np.abs(value - psi_hat(ts)) <= 1e-8)
+            assert np.all(np.abs(numeric_ft("psi", ts) - psi_hat(ts)) <= 1e-8)
 
     def test_psi_matches_closed_form_near_zero_and_band_edge(self):
         # Down to |t| = 1e-14, and next to |t| = 1, where the phase
@@ -283,10 +285,9 @@ class TestNumericFT:
             numeric_ft("sgn", 0.0)
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            numeric_ft("g", 0.0, tol=1e-9)
-        with pytest.raises(ValueError):
-            numeric_ft("psi", 1e-8, tol=math.nan)
+        # The scheme is fixed: it takes no tol, and every t must be finite.
+        with pytest.raises(TypeError):
+            numeric_ft("g", 0.0, tol=1e-7)
         with pytest.raises(ValueError):
             numeric_ft("g", math.inf)
 

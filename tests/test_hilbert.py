@@ -89,7 +89,7 @@ def telescoping_step_loop(nodes, a, majorant):
     def rescaled(delta, freq):
         if majorant == "M":
             return psi_hat(freq / delta) / delta
-        return numeric_ft("psi_beurling", freq / delta, tol=1e-6) / delta
+        return numeric_ft("psi_beurling", freq / delta) / delta
 
     order = nodes.order
     lam = nodes.lambdas[order]

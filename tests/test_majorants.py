@@ -2,6 +2,7 @@
 the quadrature cross-check of G, and deficit functions."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -291,6 +292,29 @@ class TestLineIntegral:
         # As numeric_ft does: an infinite frequency has no tail value.
         with pytest.raises(ValueError, match="t must be finite"):
             tail_transform("g", T, t, "right")
+
+    @pytest.mark.parametrize("X", [math.inf, math.nan, T - 1.0])
+    def test_tail_transform_rejects_nonfinite_cutoff(self, X):
+        # An infinite cutoff has no tail to sum: a ValueError, not a NaN
+        # value with a zero error bound.
+        with pytest.raises(ValueError, match="tail cutoff must be finite"):
+            tail_transform("g", X, 0.0, "right")
+
+    def test_refusal_memory_is_small(self, monkeypatch):
+        # Each quadrature generation evaluates all of its pending panels in
+        # one psi_closed call; the closed forms' blocks bound that call's
+        # temporaries, so a full-precision request traces little beyond the
+        # panels' own arrays before the budget refuses it.
+        monkeypatch.setattr(quadrature, "_MAX_EVALS", 600_000)
+        line_integral("psi", -1.0, 1.0, 1e-8)  # anything loaded on first use
+        tracemalloc.start()
+        try:
+            with pytest.raises(ToleranceNotMetError, match="budget exhausted"):
+                line_integral("psi", -math.inf, math.inf, 1e-15)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12_000_000
 
     def test_every_kind_resolves_in_one_table(self):
         # The integral over the line of each kind; h has no tail series.
