@@ -13,7 +13,8 @@ polynomial against exp(-2 pi i x t) exactly via monomial moments, and add
 the closed-form channel tails from :mod:`extremal.majorants` beyond T,
 which come from inverse-power series alone, for every kind and frequency.
 The panels (5,632 kernel evaluations) are built on each call, their kernel
-points and the frequencies both in fixed-size blocks.
+points in fixed-size blocks; each block of frequencies then gets its Filon
+sum, both tails and its share of the estimate together.
 """
 
 from __future__ import annotations
@@ -147,8 +148,9 @@ _CHEB_NODES, _CHEB_V, _CHEB_C2P = _chebyshev_setup()
 _EDGES = np.arange(-TAIL_CUTOFF, TAIL_CUTOFF + 0.5 * _FT_PANEL, _FT_PANEL)
 _CENTERS = 0.5 * (_EDGES[:-1] + _EDGES[1:])
 
-# Frequencies per block of a transform, and panels per block of the kernel
-# evaluations: bounds the working set at ~3 MB for any input size.  The
+# Frequencies per block of a transform (its Filon sum, both tails and its
+# share of the estimate), and panels per block of the kernel evaluations:
+# bounds the working set at ~3 MB over the input and output.  The
 # panels keep this loop of their own, 1,408 points a call: the 500 KB bound of
 # test_transform_memory_is_small needs blocks that small, and a
 # specfun._BLOCK that small would split eval's 3,072-point si_cin call.
@@ -211,38 +213,27 @@ def _moments(omega):
     return m
 
 
-def _filon_central(kind, t):
-    """integral_{-T}^{T} kernel(x) exp(-2 pi i x t) dx via the Filon panels,
-    _FT_BLOCK frequencies at a time.
-
-    Returns ``(value, err_estimate, evaluations)``; ``value`` has the shape
-    of ``t`` (a Python ``complex`` for a scalar).
-    """
-    mono, est, n_evals = _panel_data(kind)
+def _filon_central(mono, block):
+    """integral_{-T}^{T} kernel(x) exp(-2 pi i x t) dx at the 1-d frequencies
+    ``block``, from the panels' monomial coefficients ``mono``."""
     half = 0.5 * _FT_PANEL
-    arr = np.asarray(t, dtype=float)
-    flat = arr.ravel()
-    value = np.empty(flat.shape, dtype=complex)
-    for start in range(0, flat.size, _FT_BLOCK):
-        block = flat[start : start + _FT_BLOCK]
-        m = _moments(_TWO_PI * block * half)
-        # The sum over degrees is one real matrix product on the interleaved
-        # real/imaginary parts of the moments; a complex product would go
-        # through multi-threaded BLAS, whose threads then spin for nothing.
-        per_panel = (mono @ m.view(float)).view(complex)
-        phase = np.exp(-2j * np.pi * _CENTERS[:, None] * block)
-        value[start : start + _FT_BLOCK] = half * np.sum(phase * per_panel, axis=0)
-    value = complex(value[0]) if arr.ndim == 0 else value.reshape(arr.shape)
-    return value, est, n_evals
+    m = _moments(_TWO_PI * block * half)
+    # The sum over degrees is one real matrix product on the interleaved
+    # real/imaginary parts of the moments; a complex product would go
+    # through multi-threaded BLAS, whose threads then spin for nothing.
+    per_panel = (mono @ m.view(float)).view(complex)
+    phase = np.exp(-2j * np.pi * _CENTERS[:, None] * block)
+    return half * np.sum(phase * per_panel, axis=0)
 
 
 def numeric_ft(function_kind, t):
     """Oscillatory-quadrature Fourier transform of g, psi or psi_beurling.
 
     Filon panels on [-64, 64] plus closed-form channel tails.  ``t`` may
-    be a scalar (returns a Python ``complex``) or an array of frequencies
-    (returns a complex array of the same shape); every entry must be
-    finite.  The scheme is fixed, so it takes no ``tol``: its estimate is
+    be a scalar (returns a Python ``complex``, bit for bit the entry of a
+    one-element array) or an array of frequencies (returns a complex array
+    of the same shape, _FT_BLOCK frequencies at a time); every entry must
+    be finite.  The scheme is fixed, so it takes no ``tol``: its estimate is
     2e-11 to 1.2e-10, nearly all of it Filon interpolation (the tails add
     below 1e-15).  Raises :class:`extremal.quadrature.ToleranceNotMetError`
     if the estimate at some frequency exceeds ``_FT_TOL``, carrying the
@@ -254,15 +245,22 @@ def numeric_ft(function_kind, t):
             f"expected one of {tuple(_FT_KERNELS)}"
         )
     arr = _finite(np.asarray(t, dtype=float), "t")
-    central, est, n_evals = _filon_central(function_kind, arr)
-    right, err_r = tail_transform(function_kind, TAIL_CUTOFF, arr, "right")
-    left, err_l = tail_transform(function_kind, TAIL_CUTOFF, arr, "left")
-    value = central + right + left
-    est_total = float(np.max(est + err_r + err_l + 1e-15 * np.abs(value), initial=0.0))
+    flat = arr.reshape(-1)
+    mono, est, n_evals = _panel_data(function_kind)
+    value = np.empty(flat.shape, dtype=complex)
+    est_total = 0.0
+    for start in range(0, flat.size, _FT_BLOCK):
+        block = flat[start : start + _FT_BLOCK]
+        right, err_r = tail_transform(function_kind, TAIL_CUTOFF, block, "right")
+        left, err_l = tail_transform(function_kind, TAIL_CUTOFF, block, "left")
+        part = _filon_central(mono, block) + right + left
+        value[start : start + _FT_BLOCK] = part
+        top = est + err_r + err_l + 1e-15 * float(np.max(np.abs(part)))
+        est_total = max(est_total, top)
+    value = complex(value[0]) if arr.ndim == 0 else value.reshape(arr.shape)
     if est_total > _FT_TOL:
         raise ToleranceNotMetError(
             f"fixed Filon scheme achieves {est_total:g} > {_FT_TOL:g}",
             value, est_total, n_evals,
         )
     return value
-

@@ -49,7 +49,7 @@ import numpy as np
 from ._draws import Draws, box_muller
 from .fourier import psi_beurling_hat, psi_hat
 from .quadrature import ToleranceNotMetError, check_tol
-from .specfun import _finite
+from .specfun import _BLOCK, _finite
 
 __all__ = [
     "NodeSystem",
@@ -86,9 +86,6 @@ _CHECK_EVERY = 8
 _EPS = float(np.finfo(float).eps)
 # Products with A one sharp_constant solve may spend.
 _MAX_PRODUCTS = 100_000
-# Kernel entries per chunk of remark trials: about 1 MB per complex array
-# and a 4 MB peak for the whole chunk.
-_KERNEL_ENTRIES = 1 << 16
 
 
 class DuplicateNodesError(ValueError):
@@ -428,8 +425,9 @@ def remark_experiment(n_nodes, trials, seed):
     system.  The report states data only: whether the expression can go
     negative is an open question and no sign claim is made or checked.
 
-    Trials are drawn and evaluated in chunks of ``_KERNEL_ENTRIES`` kernel
-    entries, each system and value bit for bit that of the system alone (see
+    Trials are drawn and evaluated in chunks whose kernel is one closed-form
+    block (``specfun._BLOCK`` entries, at least 8 trials at N = 32), each
+    system and value bit for bit that of the system alone (see
     :func:`_random_systems`).  Only the running minimum's configuration is
     kept (the first on ties).
     """
@@ -441,7 +439,7 @@ def remark_experiment(n_nodes, trials, seed):
         raise ValueError("trials must be >= 1")
     rng = Draws(seed)
 
-    chunk = _KERNEL_ENTRIES // (n_nodes * n_nodes)
+    chunk = _BLOCK // (n_nodes * n_nodes)
     values = np.empty(trials)
     max_residue = 0.0
     arg_min = None

@@ -359,8 +359,8 @@ def tail_transform(kind, X, t, side):
     psi, the by-parts remainder as well) and the E_n evaluation accuracy.
     Requires a finite ``X >= TAIL_CUTOFF`` so the inverse-power envelopes
     have converged to the quoted truncation bound.
-    An array ``t`` gives arrays of its shape for both; a scalar ``t`` gives
-    a Python ``complex`` and ``float``.
+    An array ``t`` gives a value array of its shape, a scalar ``t`` a Python
+    ``complex``; the bound does not depend on ``t`` and is one ``float``.
     """
     _, right, left, div, trunc = _kind(kind)
     if side not in ("right", "left"):
@@ -381,7 +381,7 @@ def tail_transform(kind, X, t, side):
     val = (complex(val) if t.ndim == 0 else val) / div
     P, A = coeffs[:, 0], 2.0 * coeffs[:, 1]
     err = (trunc(X) + 2e-13 * (_series_scale(P, X) + _series_scale(A, X))) / div
-    return val, (err if t.ndim == 0 else np.full(t.shape, err))
+    return val, err
 
 
 # ---------------------------------------------------------------------------

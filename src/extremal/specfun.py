@@ -7,7 +7,8 @@ the entire cosine integral, behind the closed form of G) and ``expint_en``
 (the exponential integral E_n in the closed right half-plane, behind the
 tail channels, and the only place the package evaluates it).  They need
 numpy alone.  :func:`_elementwise` is the one home of the scalar/array rule
-and the block rule of every closed form of one argument in the package.
+and the block rule of every closed form of one argument in the package; the
+remark experiment sizes its chunks of trials to one such block.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
 _SINC_TAYLOR_CUT = 1e-4
 
 # Points per block of a closed form: the work arrays of a block stay in cache,
-# which bounds the working set and runs faster than whole-array passes.
+# which bounds the working set and runs faster than whole-array passes.  A
+# chunk of remark trials holds _BLOCK kernel entries, one block.
 _BLOCK = 8192
 
 

@@ -130,6 +130,12 @@ def test_closed_forms_share_one_elementwise_wrapper():
     assert not hasattr(specfun, "_as_array")
 
 
+def test_remark_chunks_take_the_closed_form_block():
+    # A remark chunk is one specfun._BLOCK of kernel entries: hilbert keeps
+    # no chunk size of its own.
+    assert not hasattr(hilbert, "_KERNEL_ENTRIES")
+
+
 def _results(out, count):
     if count is None:
         assert not isinstance(out, tuple)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import extremal.fourier as fourier
 from extremal.fourier import (
-    _filon_central,
     g_hat,
     numeric_ft,
     psi_beurling_hat,
@@ -259,7 +258,7 @@ class TestNumericFT:
         t = np.concatenate([t, -t])
         err = np.abs(numeric_ft("psi", t) - psi_hat(t))
         assert np.max(err) <= 1e-13
-        _, est, _ = _filon_central("psi", t)
+        est = fourier._panel_data("psi")[1]
         _, err_r = tail_transform("psi", TAIL_CUTOFF, t, "right")
         _, err_l = tail_transform("psi", TAIL_CUTOFF, t, "left")
         assert np.all(err <= est + err_r + err_l)
@@ -351,6 +350,41 @@ class TestNumericFTArray:
         for t, value in zip(ARRAY_TS, got):
             ref = numeric_ft(kind, float(t))
             assert abs(value - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("kind", ["g", "psi", "psi_beurling"])
+    def test_scalar_is_the_one_element_array(self, kind):
+        # A scalar takes the one-element path, so its bits are those of a
+        # one-element array, as in specfun._elementwise.
+        for t in ARRAY_TS:
+            want = numeric_ft(kind, np.array([t]))[0]
+            assert numeric_ft(kind, float(t)) == want
+            assert numeric_ft(kind, np.array(t)) == want
+
+    @pytest.mark.parametrize("size", [389, 1000])
+    def test_blocks_are_independent(self, size):
+        # Each _FT_BLOCK of frequencies is computed alone: an array of three
+        # or more whole blocks and a part is its slices concatenated.  At
+        # 1,000 frequencies a whole-array tail call would pass expint_en over
+        # 256 KiB, where numpy's temporary elision turns its final product
+        # around and moves last bits.
+        t = np.linspace(-20.0, 20.0, size)
+        block = fourier._FT_BLOCK
+        slices = [numeric_ft("psi", t[s : s + block]) for s in range(0, size, block)]
+        assert block == 128 and len(slices) == -(-size // block) >= 4
+        assert numeric_ft("psi", t).tobytes() == np.concatenate(slices).tobytes()
+
+    def test_many_frequencies_memory_is_bounded(self):
+        # The Filon sum, both tails and the estimate are taken a block at a
+        # time, so 20,000 frequencies trace their output plus a few MB.
+        t = np.linspace(-50.0, 50.0, 20_000)
+        numeric_ft("psi", t[:2])  # anything loaded on first use
+        tracemalloc.start()
+        try:
+            out = numeric_ft("psi", t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 5_000_000
 
     def test_moment_switch_is_on_the_grid(self):
         omega = 2.0 * math.pi * np.abs(ARRAY_TS) * 0.125

@@ -32,6 +32,7 @@ from extremal import (
     weighted_norm,
 )
 from extremal.fourier import numeric_ft, psi_hat
+from extremal.specfun import _BLOCK
 
 # C* from numpy.linalg.eigvalsh on the dense -A^2 (independent of the
 # Lanczos process on A under test).
@@ -607,7 +608,8 @@ class TestRemarkExperiment:
         # one-system call gives on the same draw, for trial counts one below,
         # at and one above the chunk size.  The draws do not depend on the
         # trial count, so one pass of single-system calls serves all three.
-        chunk = hb._KERNEL_ENTRIES // (n * n)
+        # A chunk's kernel is one closed-form block.
+        chunk = _BLOCK // (n * n)
         rng = Draws(n)
         values, residues = [], []
         for _ in range(chunk + 1):
@@ -622,20 +624,21 @@ class TestRemarkExperiment:
             assert rep["max_imag_residue"] == max(residues[:trials])
 
     def test_memory_does_not_grow_with_trials(self):
-        # Only the running minimum's system is kept: eight chunks of trials
-        # at N = 32 peak above one chunk by no more than the extra trial
-        # values, as the report's floats (kept systems would add about 1 kB
-        # a trial).
-        chunk = hb._KERNEL_ENTRIES // (32 * 32)
+        # Only the running minimum's system is kept: 512 trials at N = 32
+        # peak above 64 trials by no more than the extra trial values, as
+        # the report's floats (kept systems would add about 1 kB a trial),
+        # and the chunks of one closed-form block keep the whole run under
+        # a megabyte.
         peaks = []
-        for trials in (chunk, 8 * chunk):
+        for trials in (64, 512):
             tracemalloc.start()
             try:
                 remark_experiment(32, trials=trials, seed=4)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert peaks[1] - peaks[0] <= 7 * chunk * (sys.getsizeof(1.0) + 8)
+        assert peaks[1] - peaks[0] <= 7 * 64 * (sys.getsizeof(1.0) + 8)
+        assert peaks[1] <= 1_000_000
 
     def test_duplicate_nodes_in_a_chunk(self, monkeypatch):
         # Safety check kept on the batch: the exact sampler never draws two

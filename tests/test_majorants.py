@@ -300,6 +300,15 @@ class TestLineIntegral:
         with pytest.raises(ValueError, match="tail cutoff must be finite"):
             tail_transform("g", X, 0.0, "right")
 
+    def test_tail_bound_is_one_float(self):
+        # The bound depends on the kind and the cutoff, not on t: an array t
+        # gets the same one float as a scalar t.
+        for kind in ("g", "psi", "psi_beurling"):
+            _, bound = tail_transform(kind, T, 0.3, "left")
+            value, err = tail_transform(kind, T, np.array([[0.3, -2.0]]), "left")
+            assert value.shape == (1, 2)
+            assert type(err) is float and err == bound
+
     def test_refusal_memory_is_small(self, monkeypatch):
         # Each quadrature generation evaluates all of its pending panels in
         # one psi_closed call; the closed forms' blocks bound that call's
