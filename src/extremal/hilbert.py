@@ -334,14 +334,24 @@ def _deficit_hat_matrix(majorant, delta, freq):
 
 def _telescoping_complex(lambdas, deltas, a, majorant):
     """The kernel sum of :func:`telescoping_sum` for systems stacked along
-    leading axes: arrays of shape (..., n) give one complex per system."""
+    leading axes: arrays of shape (..., n) give one complex per system.
+
+    The kernel is built and summed ``max(1, _BLOCK // a.size)`` rows of every
+    system at a time, at most ``max(_BLOCK, a.size)`` entries (64 B each); a
+    remark chunk, or one system up to 90 nodes, is one block."""
     if majorant not in ("M", "BeurlingB"):
         raise ValueError("majorant must be 'M' or 'BeurlingB'")
-    pair_delta = np.maximum(deltas[..., :, None], deltas[..., None, :])
-    diff = lambdas[..., :, None] - lambdas[..., None, :]
-    kernel = _deficit_hat_matrix(majorant, pair_delta, diff)
-    pairs = a[..., :, None] * a.conj()[..., None, :]
-    return np.sum(pairs * kernel, axis=(-2, -1))
+    rows = max(1, _BLOCK // a.size)
+    total = None
+    for start in range(0, a.shape[-1], rows):
+        block = slice(start, start + rows)
+        pair_delta = np.maximum(deltas[..., block, None], deltas[..., None, :])
+        diff = lambdas[..., block, None] - lambdas[..., None, :]
+        kernel = _deficit_hat_matrix(majorant, pair_delta, diff)
+        pairs = a[..., block, None] * a.conj()[..., None, :]
+        part = np.sum(pairs * kernel, axis=(-2, -1))
+        total = part if total is None else total + part
+    return total
 
 
 def telescoping_sum(nodes, a, majorant="M"):
@@ -359,14 +369,17 @@ def telescoping_sum(nodes, a, majorant="M"):
 
     which is what is evaluated, through ``psi_hat`` (M) or
     ``psi_beurling_hat`` (BeurlingB); off the diagonal both are in the band,
-    so S = c sum |a_n|^2/delta_n - Phi(a)/(pi i) with c = 2 or 1.  Every
+    so S = c sum |a_n|^2/delta_n - Phi(a)/(pi i) with c = 2 or 1.  The
+    kernel is summed a block of rows at a time (see
+    :func:`_telescoping_complex`), so memory stays bounded for any n.  Every
     entry is computed, so the imaginary residue measures the rounding
-    asymmetry; it is checked (1e-8) and the real part returned.
+    asymmetry; it is checked against 1e-8 times the sum's own scale
+    W = sum |a_n|^2/delta_n (|Phi(a)| <= 2 pi W), and the real part returned.
     """
     arr = _coefficients(nodes, a)
     total = complex(_telescoping_complex(nodes.lambdas, nodes.deltas, arr, majorant))
     limit = 1e-8
-    scale = max(1.0, float(np.sum(np.abs(arr) ** 2)))
+    scale = weighted_norm(nodes, arr)
     if abs(total.imag) > limit * scale:
         raise ArithmeticError(
             f"telescoping sum has imaginary residue {total.imag:g} "
@@ -426,10 +439,10 @@ def remark_experiment(n_nodes, trials, seed):
     negative is an open question and no sign claim is made or checked.
 
     Trials are drawn and evaluated in chunks whose kernel is one closed-form
-    block (``specfun._BLOCK`` entries, at least 8 trials at N = 32), each
-    system and value bit for bit that of the system alone (see
-    :func:`_random_systems`).  Only the running minimum's configuration is
-    kept (the first on ties).
+    block (``specfun._BLOCK`` entries, at least 8 trials at N = 32), which
+    :func:`_telescoping_complex` sums in one row block, each system and value
+    bit for bit that of the system alone (see :func:`_random_systems`).  Only
+    the running minimum's configuration is kept (the first on ties).
     """
     n_nodes = int(n_nodes)
     trials = int(trials)

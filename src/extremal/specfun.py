@@ -7,8 +7,9 @@ the entire cosine integral, behind the closed form of G) and ``expint_en``
 (the exponential integral E_n in the closed right half-plane, behind the
 tail channels, and the only place the package evaluates it).  They need
 numpy alone.  :func:`_elementwise` is the one home of the scalar/array rule
-and the block rule of every closed form of one argument in the package; the
-remark experiment sizes its chunks of trials to one such block.
+and the block rule of every closed form of one argument in the package.
+The telescoping kernel of ``hilbert`` keeps the same rule itself: it is
+summed in row blocks of at most ``_BLOCK`` entries.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ _BERNOULLI = ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)
 _SINC_TAYLOR_CUT = 1e-4
 
 # Points per block of a closed form: the work arrays of a block stay in cache,
-# which bounds the working set and runs faster than whole-array passes.  A
-# chunk of remark trials holds _BLOCK kernel entries, one block.
+# which bounds the working set and runs faster than whole-array passes.  The
+# telescoping kernel of hilbert is summed in row blocks of at most _BLOCK
+# entries, and a chunk of remark trials is one such block.
 _BLOCK = 8192
 
 
@@ -332,4 +334,7 @@ def _expint_lentz(n, z):
             if idx.size == 0:
                 break
     h_out[idx] = h
-    return h_out * np.exp(-z)
+    # Named, so numpy's temporary elision (16,384 points on) cannot swap the
+    # operands and make the last bits depend on the call's size.
+    ez = np.exp(-z)
+    return h_out * ez

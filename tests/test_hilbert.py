@@ -528,8 +528,16 @@ class TestTelescoping:
         expected = weighted_norm(ns, a) + float((-phi / (1j * math.pi)).real)
         assert got == pytest.approx(expected, abs=1e-8)
 
-    @pytest.mark.parametrize("majorant", ["M", "BeurlingB"])
-    def test_collapsed_kernel_matches_step_loop(self, majorant):
+    @pytest.mark.parametrize(
+        "majorant, block",
+        [("M", None), ("BeurlingB", None), ("M", 16), ("BeurlingB", 16)],
+        ids=["M", "BeurlingB", "M-row-blocks", "BeurlingB-row-blocks"],
+    )
+    def test_collapsed_kernel_matches_step_loop(self, majorant, block, monkeypatch):
+        # With a 16-entry block every system of five or more nodes spans
+        # several row blocks of the kernel, the last one short at n = 5, 7.
+        if block is not None:
+            monkeypatch.setattr(hb, "_BLOCK", block)
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = int(rng.integers(2, 9))
@@ -546,6 +554,41 @@ class TestTelescoping:
         ns = compute_deltas(lam)
         ref = telescoping_step_loop(ns, a, "M")
         assert ref.real == pytest.approx(telescoping_identity(ns, a), abs=1e-10)
+
+    def test_multi_block_system_matches_identity(self):
+        # 512 nodes take 512 * 512 / _BLOCK = 32 row blocks.
+        rng = np.random.default_rng(13)
+        n = 512
+        ns = compute_deltas(np.sort(rng.uniform(0.0, n, n)))
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ident = telescoping_identity(ns, a)
+        assert abs(telescoping_sum(ns, a) - ident) <= 1e-12 * abs(ident)
+
+    def test_memory_is_bounded(self):
+        # The kernel is summed a block of rows at a time: 2,048 nodes trace
+        # about 1.4 MB, where the whole kernel at once traced 268 MB.
+        rng = np.random.default_rng(14)
+        n = 2048
+        ns = compute_deltas(np.sort(rng.uniform(0.0, n, n)))
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            telescoping_sum(ns, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4_000_000
+
+    @pytest.mark.parametrize("n", [8, 32, 128])
+    def test_residue_guard_scales_with_the_sum(self, n):
+        # Nodes 1e-9 apart make the sum about 1e9 times the coefficients'
+        # size, and its rounding residue with it; the guard measures the
+        # residue against W = sum |a_n|^2/delta_n, the sum's own scale.
+        rng = np.random.default_rng(15)
+        ns = compute_deltas(1e-9 * np.sort(rng.uniform(0.0, n, n)))
+        a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ident = telescoping_identity(ns, a)
+        assert abs(telescoping_sum(ns, a) - ident) <= 1e-12 * abs(ident)
 
     def test_majorant_validation(self):
         ns = compute_deltas([0.0, 1.0])
@@ -608,7 +651,8 @@ class TestRemarkExperiment:
         # one-system call gives on the same draw, for trial counts one below,
         # at and one above the chunk size.  The draws do not depend on the
         # trial count, so one pass of single-system calls serves all three.
-        # A chunk's kernel is one closed-form block.
+        # A chunk's kernel is one closed-form block, so _telescoping_complex
+        # sums it in one row block, as it does each system alone (n <= 90).
         chunk = _BLOCK // (n * n)
         rng = Draws(n)
         values, residues = [], []

@@ -350,6 +350,17 @@ class TestExpintEn:
         for n, ref_n in zip((2, 3), ref):
             assert np.all(np.abs(expint_en(n, x) - ref_n) <= 1e-14 * np.abs(ref_n))
 
+    def test_bits_do_not_depend_on_call_size(self):
+        # 25,000 continued-fraction points in one call give, bit for bit,
+        # what 1,000-point calls give: numpy reuses unnamed temporaries of
+        # 16,384 or more points, which must not reorder the last product.
+        rng = np.random.default_rng(16)
+        size = 25_000
+        z = rng.uniform(2.5, 40.0, size) * np.exp(1j * rng.uniform(-0.5, 0.5, size) * np.pi)
+        n = rng.integers(2, 16, size)
+        parts = [expint_en(n[i:i + 1000], z[i:i + 1000]) for i in range(0, size, 1000)]
+        assert np.array_equal(expint_en(n, z), np.concatenate(parts))
+
     def test_zero_and_domain(self):
         assert expint_en(2, 0.0) == 1.0 and expint_en(31, 0.0) == 1.0 / 30.0
         for bad in ((0, 1.0), (1, 0.0), (2, -1e-3)):
